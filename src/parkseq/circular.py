@@ -63,14 +63,36 @@ def rotate(sizes: SizeVector, prefs: PrefSequence, a: int) -> PrefSequence:
 
 
 def empty_spot(layout: Layout) -> int:
-    """The unique unoccupied spot of a complete circular layout."""
+    """The unique unoccupied spot of a complete circular layout.
+
+    Each block is cut at M into at most two segments of [1, M]; the spots
+    no segment covers are read off the sorted segments.
+    """
     if layout.flavor != "circular":
         raise ValueError("empty_spot is defined for circular layouts only")
     m = layout.sizes.circle_size
-    free = set(range(1, m + 1)) - layout.occupied()
-    if len(free) != 1:
-        raise ValueError(f"expected exactly one empty spot, found {len(free)}")
-    return free.pop()
+    segments = []
+    for s, y in zip(layout.starts, layout.sizes.sizes):
+        s = wrap_spot(s, m)
+        end = s + y - 1
+        if end <= m:
+            segments.append((s, end))
+        else:
+            segments.append((s, m))
+            segments.append((1, end - m))
+    segments.sort()
+    segments.append((m + 1, m + 1))  # sentinel: closes the last gap
+    free = 0
+    spot = 0
+    covered = 0  # every spot in [1, covered] lies in some segment seen
+    for s, end in segments:
+        if s > covered + 1:
+            free += s - covered - 1
+            spot = covered + 1
+        covered = max(covered, end)
+    if free != 1:
+        raise ValueError(f"expected exactly one empty spot, found {free}")
+    return spot
 
 
 def restrict_to_linear(

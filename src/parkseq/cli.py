@@ -12,6 +12,7 @@ as decimal strings so 64-bit-limited JSON readers cannot truncate them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from random import Random
@@ -19,6 +20,7 @@ from typing import Sequence
 
 from .bruteforce import (
     DEFAULT_BUDGET,
+    BijectionReport,
     BudgetExceededError,
     EnumerationReport,
     bijection_checks,
@@ -171,14 +173,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bijection(args: argparse.Namespace) -> int:
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
     report = bijection_checks(sizes, budget=args.budget)
-    checks = {
-        "decode_valid": report.decode_valid,
-        "decode_injective": report.decode_injective,
-        "image_equals_circular_set": report.image_equals_circular_set,
-        "image_count_matches_formula": report.image_count_matches_formula,
-        "restriction_matches_linear_set": report.restriction_matches_linear_set,
-        "rotation_invariant": report.rotation_invariant,
-    }
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(BijectionReport)}
+    checks = {name: v for name, v in values.items() if isinstance(v, bool)}
     payload = {
         "command": "bijection",
         "sizes": list(sizes.sizes),
@@ -231,11 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, sizes_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, sizes_required: bool = True,
+               flavored: bool = True) -> None:
         p.add_argument("--sizes", required=sizes_required,
                        help="comma-separated car sizes, e.g. 2,2,1")
-        p.add_argument("--circular", action="store_true",
-                       help="use the circular lot of T+1 spots")
+        if flavored:
+            p.add_argument("--circular", action="store_true",
+                           help="use the circular lot of T+1 spots")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (one JSON document)")
 
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bijection",
                        help="exhaustively check the divider decoder is a bijection")
-    common(p)
+    common(p, flavored=False)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="maximum tuples (default %(default)s)")
     p.set_defaults(func=cmd_bijection)

@@ -11,17 +11,25 @@ Car i has exactly option_count(sizes, i) choices, so option sequences are
 counted by the circular product formula; decoding them is a bijection onto
 circular parking sequences (injectivity plus matching cardinality, both
 checked exhaustively in the tests).
+
+The choices of car i are numbered 0 .. option_count(sizes, i) - 1 by
+option_at: direct picks first, then cruise targets in (car, offset)
+order. The samplers draw the anchor and then one integer per car, each
+uniform over its option_count, and map it to its option; no option list
+is built.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .circular import empty_spot, restrict_to_linear, rotate, wrap_spot
 from .core import Layout, PrefSequence, SizeVector
+from .counting import option_count
 
 
 @dataclass(frozen=True)
@@ -72,20 +80,21 @@ def decode(
         raise ValueError(f"expected {n - 1} car options, got {len(opts.options)}")
 
     # cells[p] holds the car index in cell p, or 0 if the cell is open;
-    # cell 0 is car 1's cell, and cells are ordered clockwise.
+    # cell 0 is car 1's cell, and cells are ordered clockwise. open_cells
+    # lists the open cells in increasing order; cell 0 is never open.
     cells = [0] * (n + 1)
     cells[0] = 1
-    cell_of = {1: 0}
+    cell_of = [0] * (n + 1)
+    open_cells = list(range(1, n + 1))
 
     for i, opt in enumerate(opts.options, start=2):
         if isinstance(opt, Direct):
-            open_cells = [p for p in range(1, n + 1) if cells[p] == 0]
             if not 1 <= opt.interval <= len(open_cells):
                 raise ValueError(
                     f"car {i}: interval {opt.interval} outside "
                     f"[1, {len(open_cells)}]"
                 )
-            p = open_cells[opt.interval - 1]
+            p = open_cells.pop(opt.interval - 1)
         elif isinstance(opt, Cruise):
             if not 1 <= opt.car < i:
                 raise ValueError(f"car {i}: cruise target {opt.car} not yet parked")
@@ -94,9 +103,9 @@ def decode(
                     f"car {i}: cruise offset {opt.offset} outside "
                     f"[1, {sizes.sizes[opt.car - 1]}]"
                 )
-            p = (cell_of[opt.car] + 1) % (n + 1)
-            while cells[p] != 0:
-                p = (p + 1) % (n + 1)
+            # the next open cell clockwise after the target's cell
+            k = bisect_left(open_cells, cell_of[opt.car])
+            p = open_cells.pop(k if k < len(open_cells) else 0)
         else:
             raise ValueError(f"car {i}: unknown option {opt!r}")
         cells[p] = i
@@ -129,18 +138,28 @@ def decode(
     )
 
 
+def option_at(prefix: Sequence[int], i: int, r: int) -> CarOption:
+    """Option number r of car i >= 2, where prefix[k] = y_1 + ... + y_{k+1}.
+
+    The n + 2 - i direct interval picks come first, then the cruise
+    targets in (car, offset) order, so r ranges over
+    0 .. n + 1 - i + prefix[i - 2].
+    """
+    direct = len(prefix) + 2 - i
+    if r < direct:
+        return Direct(r + 1)
+    r -= direct
+    j = bisect_right(prefix, r)  # cars 1..j end at or before r
+    start = prefix[j - 1] if j else 0
+    return Cruise(j + 1, r - start + 1)
+
+
 def options_for_car(sizes: SizeVector, i: int) -> list[CarOption]:
-    """All valid choices for car i >= 2: direct interval picks first, then
-    cruise targets in (car, offset) order."""
+    """All valid choices for car i >= 2, in option_at order."""
     if not 2 <= i <= sizes.n:
         raise ValueError(f"car index {i} outside [2, {sizes.n}]")
-    direct = [Direct(t) for t in range(1, sizes.n + 2 - i + 1)]
-    cruise = [
-        Cruise(j, k)
-        for j in range(1, i)
-        for k in range(1, sizes.sizes[j - 1] + 1)
-    ]
-    return direct + cruise
+    prefix = list(itertools.accumulate(sizes.sizes))
+    return [option_at(prefix, i, r) for r in range(option_count(sizes, i))]
 
 
 def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
@@ -157,19 +176,21 @@ def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
 def _sample_decoded(
     sizes: SizeVector, rng: Random
 ) -> tuple[PrefSequence, Layout]:
+    n = sizes.n
     anchor = rng.randrange(1, sizes.circle_size + 1)
-    options = []
-    for i in range(2, sizes.n + 1):
-        choices = options_for_car(sizes, i)
-        options.append(choices[rng.randrange(len(choices))])
-    return decode(sizes, OptionSequence(anchor, tuple(options)))
+    prefix = list(itertools.accumulate(sizes.sizes))
+    options = [
+        option_at(prefix, i, rng.randrange(n + 2 - i + prefix[i - 2]))
+        for i in range(2, n + 1)
+    ]
+    return decode(sizes, OptionSequence(anchor, options))
 
 
 def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
     """Draw a circular parking sequence exactly uniformly.
 
-    The anchor and each car option are drawn independently and uniformly;
-    decode is injective, so all outputs have equal probability.
+    The anchor and each car's option number are drawn independently and
+    uniformly; decode is injective, so all outputs have equal probability.
     """
     prefs, _ = _sample_decoded(sizes, rng)
     return prefs

@@ -2,6 +2,7 @@ import itertools
 
 from parkseq import (
     Collision,
+    Layout,
     Parked,
     PastEnd,
     PrefSequence,
@@ -40,3 +41,15 @@ def naive_parking_set(sizes: SizeVector, flavor: str) -> set[tuple[int, ...]]:
         for tup in itertools.product(range(1, base + 1), repeat=sizes.n)
         if isinstance(simulate(sizes, PrefSequence(tup, flavor)), Parked)
     }
+
+
+def naive_free_spots(layout: Layout) -> set[int]:
+    """The spots of a circular layout that no car covers, listed spot by
+    spot: the literal reference for empty_spot."""
+    m = layout.sizes.circle_size
+    covered = {
+        (s - 1 + k) % m + 1
+        for s, y in zip(layout.starts, layout.sizes.sizes)
+        for k in range(y)
+    }
+    return set(range(1, m + 1)) - covered

@@ -10,13 +10,16 @@ from parkseq import (
     Parked,
     PrefSequence,
     SizeVector,
+    compositions,
+    decode,
     empty_spot,
+    enumerate_option_sequences,
     restrict_to_linear,
     rotate,
     simulate_circular,
     wrap_spot,
 )
-from conftest import naive_parking_set
+from conftest import naive_free_spots, naive_parking_set
 
 
 def circ(prefs):
@@ -92,6 +95,37 @@ class TestEmptySpot:
         layout = Layout(SizeVector((2, 2)), (1, 1), "circular")
         with pytest.raises(ValueError):
             empty_spot(layout)
+
+    def test_block_wrapping_past_m(self):
+        # M = 6: car 1 covers 5, 6, 1; car 2 covers 2, 3
+        layout = Layout(SizeVector((3, 2)), (5, 2), "circular")
+        assert naive_free_spots(layout) == {4}
+        assert empty_spot(layout) == 4
+
+    def test_block_ending_exactly_at_m(self):
+        # M = 6: car 1 covers 4, 5, 6; car 2 covers 1, 2
+        layout = Layout(SizeVector((3, 2)), (4, 1), "circular")
+        assert naive_free_spots(layout) == {3}
+        assert empty_spot(layout) == 3
+
+    def test_overlapping_blocks_report_the_true_free_count(self):
+        # M = 8: cars cover 1-3, 2-3 and 7, 8, 1; spots 4, 5, 6 stay free
+        layout = Layout(SizeVector((3, 2, 2)), (1, 2, 7), "circular")
+        assert naive_free_spots(layout) == {4, 5, 6}
+        with pytest.raises(ValueError, match="found 3$"):
+            empty_spot(layout)
+
+    def test_matches_the_spot_by_spot_reference(self):
+        # the layout of every circular parking sequence with n <= 4, T <= 8,
+        # reached by decoding every option sequence (a bijection onto the
+        # circular parking sequences, tested in test_divider)
+        for comp in compositions(4, 8):
+            sizes = SizeVector(comp)
+            layouts = {decode(sizes, opts)[1] for opts in enumerate_option_sequences(sizes)}
+            for layout in layouts:
+                free = naive_free_spots(layout)
+                assert len(free) == 1
+                assert empty_spot(layout) == free.pop()
 
 
 class TestRestrictToLinear:

@@ -148,6 +148,26 @@ class TestBijection:
         assert code == 3
         assert "budget" in err
 
+    def test_check_names_in_order(self, capsys):
+        _, doc, _ = run_json(capsys, "bijection", "--sizes", "2,1")
+        assert list(doc["checks"]) == [
+            "decode_valid",
+            "decode_injective",
+            "image_equals_circular_set",
+            "image_count_matches_formula",
+            "restriction_matches_linear_set",
+            "rotation_invariant",
+        ]
+
+    def test_circular_flag_rejected(self, capsys):
+        # the bijection checks always cover both lots; the flag did nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["bijection", "--sizes", "2,2", "--circular"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--circular" in captured.err
+
 
 class TestSample:
     def test_draws_are_parking_sequences(self, capsys):

@@ -1,3 +1,8 @@
+import contextlib
+import io
+import itertools
+import json
+import os
 from collections import Counter
 from random import Random
 
@@ -11,6 +16,7 @@ from parkseq import (
     OptionSequence,
     Parked,
     SizeVector,
+    compositions,
     count_circular,
     decode,
     enumerate_option_sequences,
@@ -21,7 +27,11 @@ from parkseq import (
     sample_linear,
     simulate_circular,
 )
+from parkseq.cli import main
+from parkseq.divider import option_at
 from conftest import naive_parking_set
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_streams.json")
 
 
 class TestDecode:
@@ -69,6 +79,27 @@ class TestDecode:
 
 
 class TestOptionEnumeration:
+    @staticmethod
+    def literal_options(sizes, i):
+        """Car i's options, written out: direct picks first, then cruise
+        targets by (car, offset)."""
+        n = sizes.n
+        direct = [Direct(t) for t in range(1, n + 2 - i + 1)]
+        cruise = [
+            Cruise(j, k) for j in range(1, i) for k in range(1, sizes.sizes[j - 1] + 1)
+        ]
+        return direct + cruise
+
+    def test_option_at_follows_the_literal_order(self):
+        for comp in compositions(5, 10):
+            sizes = SizeVector(comp)
+            prefix = list(itertools.accumulate(comp))
+            for i in range(2, sizes.n + 1):
+                literal = self.literal_options(sizes, i)
+                assert len(literal) == option_count(sizes, i)
+                assert [option_at(prefix, i, r) for r in range(len(literal))] == literal
+                assert options_for_car(sizes, i) == literal
+
     def test_per_car_choice_counts(self):
         sizes = SizeVector((2, 5, 1, 3, 2))
         for i in range(2, sizes.n + 1):
@@ -128,11 +159,14 @@ class TestSamplers:
 
     def test_same_seed_same_stream(self):
         sizes = SizeVector((2, 1, 3))
-        runs = [
-            [sample_linear(sizes, Random(42)).prefs for _ in range(50)]
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
+
+        def stream():
+            rng = Random(42)
+            return [sample_linear(sizes, rng).prefs for _ in range(50)]
+
+        first = stream()
+        assert first == stream()
+        assert len(set(first)) > 1  # one generator, many different draws
 
     def test_single_car_anchor_uniform_support(self):
         sizes = SizeVector((4,))
@@ -154,3 +188,32 @@ class TestSamplers:
         sizes = SizeVector((1, 2))
         rng = Random(seed)
         assert is_parking_sequence(sizes, sample_linear(sizes, rng))
+
+
+class TestGoldenStreams:
+    """Seeded output recorded from the sampler that built every car's full
+    option list and indexed it; drawing option numbers must not change a
+    single draw."""
+
+    with open(GOLDEN) as f:
+        golden = json.load(f)
+
+    @pytest.mark.parametrize(
+        "case",
+        golden["samplers"],
+        ids=lambda c: f"n{len(c['sizes'])}-T{sum(c['sizes'])}-seed{c['seed']}",
+    )
+    def test_sampler_streams(self, case):
+        sizes = SizeVector(tuple(case["sizes"]))
+        for flavor, draw in (("linear", sample_linear), ("circular", sample_circular)):
+            rng = Random(case["seed"])
+            got = [list(draw(sizes, rng).prefs) for _ in case[flavor]]
+            assert json.dumps(got) == json.dumps(case[flavor])
+
+    @pytest.mark.parametrize("case", golden["cli"], ids=lambda c: " ".join(c["argv"]))
+    def test_cli_sample_stdout(self, case):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(case["argv"])
+        assert code == case["exit_code"]
+        assert out.getvalue() == case["stdout"]
