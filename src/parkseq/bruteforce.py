@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .core import Flavor, Parked, PrefSequence, SizeVector, simulate_linear
 from .circular import simulate_circular
-from .counting import count_circular, count_linear
+from .counting import _decimal, count_circular, count_linear
 
 DEFAULT_BUDGET = 10**8
 
@@ -32,7 +32,7 @@ class BudgetExceededError(Exception):
         self.budget = budget
         super().__init__(
             f"enumeration of sizes={sizes.sizes} ({flavor}) needs "
-            f"{required} tuples, budget is {budget}"
+            f"{_decimal(required)} tuples, budget is {_decimal(budget)}"
         )
 
 
@@ -60,31 +60,21 @@ _PAST_END = -1
 _COLLISION = -2
 
 
-def _place_linear(mask: int, pref: int, size: int, total: int) -> int:
-    """Park one car on occupancy bitmask `mask` (bit s-1 = spot s taken).
+def _place(mask: int, pref: int, size: int, base: int, wrap: bool) -> int:
+    """Park one car on occupancy bitmask `mask` (bit s-1 = spot s taken)
+    of a lot of `base` spots; with `wrap` the lot is a circle.
 
-    Returns the new mask, or _PAST_END / _COLLISION.
+    Returns the new mask, or _PAST_END / _COLLISION. No bit above `base`
+    is ever set, so the linear scan stops by spot base + 1.
     """
     j = pref
-    while j <= total and (mask >> (j - 1)) & 1:
-        j += 1
-    if j + size - 1 > total:
-        return _PAST_END
-    block = ((1 << size) - 1) << (j - 1)
-    if mask & block:
-        return _COLLISION
-    return mask | block
-
-
-def _place_circular(mask: int, pref: int, size: int, m: int) -> int:
-    j = pref
     while (mask >> (j - 1)) & 1:
-        j = j % m + 1
-    if j - 1 + size <= m:
-        block = ((1 << size) - 1) << (j - 1)
-    else:
-        head = m - (j - 1)
-        block = (((1 << head) - 1) << (j - 1)) | ((1 << (size - head)) - 1)
+        j = j % base + 1 if wrap else j + 1
+    block = ((1 << size) - 1) << (j - 1)
+    if j - 1 + size > base:
+        if not wrap:
+            return _PAST_END
+        block = (block | block >> base) & ((1 << base) - 1)
     if mask & block:
         return _COLLISION
     return mask | block
@@ -99,12 +89,8 @@ def _tally(
     occupancy state they reach; counts are exact integers.
     """
     n = sizes.n
-    if flavor == "linear":
-        base = sizes.total
-        place = lambda mask, pref, size: _place_linear(mask, pref, size, base)
-    else:
-        base = sizes.circle_size
-        place = lambda mask, pref, size: _place_circular(mask, pref, size, base)
+    wrap = flavor == "circular"
+    base = sizes.circle_size if wrap else sizes.total
 
     parked = collisions = past_end = 0
     states: dict[int, int] = {0: 1}
@@ -114,7 +100,7 @@ def _tally(
         nxt: dict[int, int] = {}
         for mask, count in states.items():
             for pref in range(lo, hi + 1):
-                outcome = place(mask, pref, size)
+                outcome = _place(mask, pref, size, base, wrap)
                 if outcome == _PAST_END:
                     past_end += count * weight
                 elif outcome == _COLLISION:

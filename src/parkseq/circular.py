@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
-    Collision,
     Layout,
     Parked,
     ParkResult,
     PrefSequence,
     SizeVector,
     _check_prefs,
+    _park,
 )
 
 
@@ -29,29 +29,11 @@ def wrap_spot(x: int, modulus: int) -> int:
 def simulate_circular(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
     """Run the parking rule on the circle; spot arithmetic is mod M.
 
-    The first-empty-spot scan always terminates because at most T of the
-    M = T + 1 spots are ever occupied. Collision is the only failure mode.
+    At most T of the M = T + 1 spots are ever occupied, so every car finds
+    an empty spot; Collision is the only failure mode.
     """
     _check_prefs(sizes, prefs, "circular")
-    m = sizes.circle_size
-    occupied = bytearray(m + 1)  # index 1..m
-    starts: list[int] = []
-    for i, (c, y) in enumerate(zip(prefs.prefs, sizes.sizes), start=1):
-        j = c
-        steps = 0
-        while occupied[j]:
-            j = j % m + 1
-            steps += 1
-            if steps > m:  # unreachable if the occupancy invariant holds
-                raise RuntimeError("scan failed to find an empty spot")
-        block = [(j - 1 + k) % m + 1 for k in range(y)]
-        for s in block[1:]:
-            if occupied[s]:
-                return Collision(car=i, first_empty=j, blocked=s)
-        for s in block:
-            occupied[s] = 1
-        starts.append(j)
-    return Parked(Layout(sizes, tuple(starts), "circular"))
+    return _park(sizes, prefs, wrap=True)
 
 
 def rotate(sizes: SizeVector, prefs: PrefSequence, a: int) -> PrefSequence:

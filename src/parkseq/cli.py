@@ -27,7 +27,7 @@ from .bruteforce import (
     verify,
     verify_sweep,
 )
-from .circular import empty_spot, simulate_circular
+from .circular import empty_spot, simulate_circular, wrap_spot
 from .core import (
     Collision,
     Parked,
@@ -36,7 +36,7 @@ from .core import (
     SizeVector,
     simulate_linear,
 )
-from .counting import count_circular, count_linear
+from .counting import _decimal, count_circular, count_linear
 from .divider import sample_circular, sample_linear
 
 EXIT_OK = 0
@@ -75,10 +75,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lines: list[str] = []
     if isinstance(result, Parked):
         layout = result.layout
+        m = sizes.circle_size
         records = []
-        for car in range(1, sizes.n + 1):
-            block = layout.block(car)
-            records.append({"car": car, "start": block[0], "end": block[-1]})
+        for car, (s, y) in enumerate(zip(layout.starts, sizes.sizes), start=1):
+            end = s + y - 1 if flavor == "linear" else wrap_spot(s + y - 1, m)
+            records.append({"car": car, "start": s, "end": end})
         records.sort(key=lambda r: r["start"])
         payload["result"] = "parked"
         payload["layout"] = records
@@ -114,13 +115,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
     flavor = _flavor(args)
     value = count_circular(sizes) if flavor == "circular" else count_linear(sizes)
+    digits = _decimal(value)
     payload = {
         "command": "count",
         "sizes": list(sizes.sizes),
         "flavor": flavor,
-        "count": str(value),
+        "count": digits,
     }
-    _emit(payload, args.json, [str(value)])
+    _emit(payload, args.json, [digits])
     return EXIT_OK
 
 

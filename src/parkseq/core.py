@@ -8,6 +8,7 @@ Anything else is a classified failure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, Union
 
@@ -133,6 +134,61 @@ def _check_prefs(sizes: SizeVector, prefs: PrefSequence, flavor: Flavor) -> None
             raise ValueError(f"preference {c} outside [1, {limit}]")
 
 
+def _merge_run(lo: list[int], hi: list[int], k: int, a: int, b: int) -> None:
+    """Mark [a, b] occupied, where runs lo[:k] end before a and lo[k:]
+    begin after b; it merges with a neighbour run it touches."""
+    left = k > 0 and hi[k - 1] == a - 1
+    right = k < len(lo) and lo[k] == b + 1
+    if left and right:
+        hi[k - 1] = hi[k]
+        del lo[k], hi[k]
+    elif left:
+        hi[k - 1] = b
+    elif right:
+        lo[k] = a
+    else:
+        lo.insert(k, a)
+        hi.insert(k, b)
+
+
+def _park(sizes: SizeVector, prefs: PrefSequence, wrap: bool) -> ParkResult:
+    """The parking rule of both lots, on occupancy kept as runs.
+
+    Spots lo[k]..hi[k] form the k-th maximal occupied run; the runs are
+    sorted and no two touch, so there are at most n of them and each car
+    costs O(log n) bisects plus a list insert, whatever T is. Without
+    `wrap` the lot is the row of T spots; with it, the circle of M = T + 1
+    spots, where driving past M continues at spot 1. Runs are not merged
+    across M.
+    """
+    limit = sizes.circle_size if wrap else sizes.total
+    lo: list[int] = []
+    hi: list[int] = []
+    starts: list[int] = []
+    for i, (c, y) in enumerate(zip(prefs.prefs, sizes.sizes), start=1):
+        k = bisect_right(lo, c)  # runs lo[:k] begin at or before c
+        j = hi[k - 1] + 1 if k and hi[k - 1] >= c else c  # first empty spot
+        if j > limit and wrap:
+            # fewer than M spots are taken, so the spot after run 0 is empty
+            k = 1 if lo[0] == 1 else 0
+            j = hi[0] + 1 if k else 1
+        end = j + y - 1
+        if end > limit and not wrap:
+            return PastEnd(car=i)
+        # j is empty, so a taken spot in the block is the start of a run
+        if k < len(lo) and lo[k] <= min(end, limit):
+            return Collision(car=i, first_empty=j, blocked=lo[k])
+        if end > limit:
+            if lo and lo[0] <= end - limit:
+                return Collision(car=i, first_empty=j, blocked=lo[0])
+            _merge_run(lo, hi, k, j, limit)
+            _merge_run(lo, hi, 0, 1, end - limit)
+        else:
+            _merge_run(lo, hi, k, j, end)
+        starts.append(j)
+    return Parked(Layout(sizes, tuple(starts), "circular" if wrap else "linear"))
+
+
 def simulate_linear(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
     """Run the parking rule on the linear lot of T spots.
 
@@ -141,22 +197,7 @@ def simulate_linear(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
     [j+1, j+y_i-1] is a Collision, and running out of lot is PastEnd.
     """
     _check_prefs(sizes, prefs, "linear")
-    t = sizes.total
-    occupied = bytearray(t + 1)  # index 1..t
-    starts: list[int] = []
-    for i, (c, y) in enumerate(zip(prefs.prefs, sizes.sizes), start=1):
-        j = c
-        while j <= t and occupied[j]:
-            j += 1
-        if j > t or j + y - 1 > t:
-            return PastEnd(car=i)
-        for s in range(j + 1, j + y):
-            if occupied[s]:
-                return Collision(car=i, first_empty=j, blocked=s)
-        for s in range(j, j + y):
-            occupied[s] = 1
-        starts.append(j)
-    return Parked(Layout(sizes, tuple(starts), "linear"))
+    return _park(sizes, prefs, wrap=False)
 
 
 def is_parking_sequence(sizes: SizeVector, prefs: PrefSequence) -> bool:

@@ -7,7 +7,43 @@ would silently overflow.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import SizeVector
+
+# str() is called only on pieces below 10**(2**_STR_K), 512 digits, which
+# is under the smallest int-to-str digit limit the interpreter accepts.
+_STR_K = 9
+
+
+@cache
+def _pow10(k: int) -> int:
+    """10 ** (2 ** k), each one the square of the one before."""
+    return 10 if k == 0 else _pow10(k - 1) ** 2
+
+
+def _digits(x: int, k: int) -> str:
+    """The 2**k decimal digits of 0 <= x < 10**(2**k), zero-padded."""
+    if k <= _STR_K:
+        return str(x).zfill(1 << k)
+    high, low = divmod(x, _pow10(k - 1))
+    return _digits(high, k - 1) + _digits(low, k - 1)
+
+
+def _decimal(x: int) -> str:
+    """str(x), also for ints past the interpreter's int-to-str digit limit.
+
+    Splits x on the powers 10**(2**k) until each piece is short enough
+    for str(); the limit itself is neither read nor changed.
+    """
+    if x < 0:
+        return "-" + _decimal(-x)
+    if x < _pow10(_STR_K):
+        return str(x)
+    k = _STR_K + 1
+    while x >= _pow10(k):
+        k += 1
+    return _digits(x, k).lstrip("0")
 
 
 def count_linear(sizes: SizeVector) -> int:

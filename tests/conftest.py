@@ -1,4 +1,6 @@
 import itertools
+import sys
+from contextlib import contextmanager
 
 from parkseq import (
     Collision,
@@ -7,9 +9,48 @@ from parkseq import (
     PastEnd,
     PrefSequence,
     SizeVector,
-    simulate_circular,
-    simulate_linear,
 )
+
+
+def naive_simulate(sizes: SizeVector, prefs: PrefSequence, flavor: str):
+    """The parking rule spot by spot on a bytearray, the literal reference
+    the run-list kernel and the oracle's bitmask step are checked against.
+    Preferences are taken as valid."""
+    starts: list[int] = []
+    if flavor == "linear":
+        t = sizes.total
+        occupied = bytearray(t + 1)  # index 1..t
+        for i, (c, y) in enumerate(zip(prefs.prefs, sizes.sizes), start=1):
+            j = c
+            while j <= t and occupied[j]:
+                j += 1
+            if j > t or j + y - 1 > t:
+                return PastEnd(car=i)
+            for s in range(j + 1, j + y):
+                if occupied[s]:
+                    return Collision(car=i, first_empty=j, blocked=s)
+            for s in range(j, j + y):
+                occupied[s] = 1
+            starts.append(j)
+        return Parked(Layout(sizes, tuple(starts), "linear"))
+    m = sizes.circle_size
+    occupied = bytearray(m + 1)  # index 1..m
+    for i, (c, y) in enumerate(zip(prefs.prefs, sizes.sizes), start=1):
+        j = c
+        steps = 0
+        while occupied[j]:
+            j = j % m + 1
+            steps += 1
+            if steps > m:  # unreachable if the occupancy invariant holds
+                raise RuntimeError("scan failed to find an empty spot")
+        block = [(j - 1 + k) % m + 1 for k in range(y)]
+        for s in block[1:]:
+            if occupied[s]:
+                return Collision(car=i, first_empty=j, blocked=s)
+        for s in block:
+            occupied[s] = 1
+        starts.append(j)
+    return Parked(Layout(sizes, tuple(starts), "circular"))
 
 
 def naive_tally(sizes: SizeVector, flavor: str) -> tuple[int, int, int]:
@@ -19,10 +60,9 @@ def naive_tally(sizes: SizeVector, flavor: str) -> tuple[int, int, int]:
     oracle and the closed-form counts are both checked against.
     """
     base = sizes.total if flavor == "linear" else sizes.circle_size
-    simulate = simulate_linear if flavor == "linear" else simulate_circular
     parked = collisions = past_end = 0
     for tup in itertools.product(range(1, base + 1), repeat=sizes.n):
-        result = simulate(sizes, PrefSequence(tup, flavor))
+        result = naive_simulate(sizes, PrefSequence(tup, flavor), flavor)
         if isinstance(result, Parked):
             parked += 1
         elif isinstance(result, Collision):
@@ -35,11 +75,10 @@ def naive_tally(sizes: SizeVector, flavor: str) -> tuple[int, int, int]:
 
 def naive_parking_set(sizes: SizeVector, flavor: str) -> set[tuple[int, ...]]:
     base = sizes.total if flavor == "linear" else sizes.circle_size
-    simulate = simulate_linear if flavor == "linear" else simulate_circular
     return {
         tup
         for tup in itertools.product(range(1, base + 1), repeat=sizes.n)
-        if isinstance(simulate(sizes, PrefSequence(tup, flavor)), Parked)
+        if isinstance(naive_simulate(sizes, PrefSequence(tup, flavor), flavor), Parked)
     }
 
 
@@ -53,3 +92,15 @@ def naive_free_spots(layout: Layout) -> set[int]:
         for k in range(y)
     }
     return set(range(1, m + 1)) - covered
+
+
+@contextmanager
+def unlimited_str_digits():
+    """Lift the interpreter's int-to-str digit limit inside the block, so a
+    test can build the expected decimal string with plain str()."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from conftest import unlimited_str_digits
+from parkseq import count_classical
 from parkseq.cli import main
+
+UNIT_CARS_2000 = ",".join(["1"] * 2000)
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +95,82 @@ class TestCount:
         assert code == 0
         assert doc["count"] == "30"
         assert isinstance(doc["count"], str)
+
+
+    def test_count_past_the_str_digit_limit(self, capsys):
+        # (n+1)^(n-1) for n = 2000 has 6,603 digits
+        with unlimited_str_digits():
+            expected = str(count_classical(2000))
+        code, out, err = run_cli(capsys, "count", "--sizes", UNIT_CARS_2000)
+        assert (code, out, err) == (0, expected + "\n", "")
+        code, doc, _ = run_json(capsys, "count", "--sizes", UNIT_CARS_2000)
+        assert code == 0
+        assert doc["count"] == expected
+
+    @pytest.mark.parametrize("command", ["verify", "bijection"])
+    def test_refusal_names_a_domain_past_the_digit_limit(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--sizes", UNIT_CARS_2000)
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
+
+class TestLargeLots:
+    """A lot of 10^12 spots answers at once: the cost grows with the number
+    of cars, and no structure the size of the lot is built."""
+
+    BIG = 10**12
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["simulate", "--sizes", str(BIG), "--prefs", "1"],
+                {"command": "simulate", "sizes": [BIG], "flavor": "linear",
+                 "result": "parked",
+                 "layout": [{"car": 1, "start": 1, "end": BIG}]},
+            ),
+            (
+                ["simulate", "--sizes", str(BIG), "--prefs", "1", "--circular"],
+                {"command": "simulate", "sizes": [BIG], "flavor": "circular",
+                 "result": "parked",
+                 "layout": [{"car": 1, "start": 1, "end": BIG}],
+                 "empty_spot": BIG + 1},
+            ),
+            (
+                ["simulate", "--sizes", f"{BIG},1", "--prefs", "1,1"],
+                {"command": "simulate", "sizes": [BIG, 1], "flavor": "linear",
+                 "result": "parked",
+                 "layout": [{"car": 1, "start": 1, "end": BIG},
+                            {"car": 2, "start": BIG + 1, "end": BIG + 1}]},
+            ),
+            (
+                ["simulate", "--sizes", f"{BIG},1", "--prefs", f"{BIG + 1},1",
+                 "--circular"],
+                {"command": "simulate", "sizes": [BIG, 1], "flavor": "circular",
+                 "result": "parked",
+                 "layout": [{"car": 2, "start": BIG - 1, "end": BIG - 1},
+                            {"car": 1, "start": BIG + 1, "end": BIG - 2}],
+                 "empty_spot": BIG},
+            ),
+            (
+                ["sample", "--sizes", str(BIG), "--count", "1", "--seed", "1"],
+                {"command": "sample", "sizes": [BIG], "flavor": "linear",
+                 "seed": 1, "count": 1, "samples": [[1]]},
+            ),
+        ],
+    )
+    def test_answers_without_lot_sized_memory(self, capsys, argv, expected):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out) == expected
+        assert peak < 2**20
 
 
 class TestVerify:

@@ -10,10 +10,15 @@ from parkseq import (
     PastEnd,
     PrefSequence,
     SizeVector,
+    compositions,
     is_classical_parking_function,
     is_parking_sequence,
+    simulate_circular,
     simulate_linear,
 )
+from conftest import naive_simulate
+
+SIMULATE = {"linear": simulate_linear, "circular": simulate_circular}
 
 
 def layout_starts(result):
@@ -144,3 +149,41 @@ def test_classical_equivalence_exhaustive(n):
     for tup in itertools.product(range(1, n + 1), repeat=n):
         assert is_parking_sequence(sizes, PrefSequence(tup)) == \
             is_classical_parking_function(tup)
+
+
+@pytest.mark.parametrize(
+    "flavor, tuples", [("linear", 19_216), ("circular", 35_516)]
+)
+def test_kernel_matches_spot_by_spot_reference(flavor, tuples):
+    # every tuple of every composition with n <= 4, T <= 6: results are
+    # equal field by field, so the collision spots and past-end car too
+    checked = 0
+    for comp in compositions(4, 6):
+        sizes = SizeVector(comp)
+        base = sizes.total if flavor == "linear" else sizes.circle_size
+        for tup in itertools.product(range(1, base + 1), repeat=sizes.n):
+            prefs = PrefSequence(tup, flavor)
+            assert SIMULATE[flavor](sizes, prefs) == naive_simulate(
+                sizes, prefs, flavor
+            )
+            checked += 1
+    assert checked == tuples
+
+
+@st.composite
+def sizes_and_prefs_any_flavor(draw):
+    flavor = draw(st.sampled_from(["linear", "circular"]))
+    sizes = SizeVector(
+        tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=10)))
+    )
+    limit = sizes.total if flavor == "linear" else sizes.circle_size
+    prefs = tuple(draw(st.integers(1, limit)) for _ in range(sizes.n))
+    return sizes, PrefSequence(prefs, flavor)
+
+
+@given(sizes_and_prefs_any_flavor())
+def test_kernel_matches_reference_on_longer_sequences(case):
+    sizes, prefs = case
+    assert SIMULATE[prefs.flavor](sizes, prefs) == naive_simulate(
+        sizes, prefs, prefs.flavor
+    )

@@ -11,6 +11,8 @@ from parkseq import (
     count_linear,
     option_count,
 )
+from conftest import unlimited_str_digits
+from parkseq.counting import _decimal
 
 size_vectors = st.lists(st.integers(1, 6), min_size=1, max_size=8).map(
     lambda xs: SizeVector(tuple(xs))
@@ -88,3 +90,15 @@ def test_circular_is_m_times_linear(sizes):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_unit_sizes_specialize_to_classical(n):
     assert count_linear(SizeVector((1,) * n)) == count_classical(n)
+
+
+@given(st.integers(-(10**1500), 10**1500))
+def test_decimal_matches_str(x):
+    assert _decimal(x) == str(x)
+
+
+@given(st.integers(0, 2**40_000))
+def test_decimal_past_the_str_digit_limit(x):
+    with unlimited_str_digits():
+        expected = str(x)
+    assert _decimal(x) == expected
