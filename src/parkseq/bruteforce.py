@@ -6,6 +6,8 @@ the closed-form count. The tally walks reachable occupancy states instead
 of materializing each tuple (a failed prefix fails every extension the
 same way, and distinct prefixes with equal occupancy behave identically
 from then on), which gives per-tuple-exact tallies without per-tuple work.
+Within a state, preferences are grouped by the free spot they cruise to,
+so each state costs its number of free spots, not the lot size.
 The tests cross-check it against a literal one-simulation-per-tuple loop.
 """
 
@@ -60,16 +62,13 @@ _PAST_END = -1
 _COLLISION = -2
 
 
-def _place(mask: int, pref: int, size: int, base: int, wrap: bool) -> int:
-    """Park one car on occupancy bitmask `mask` (bit s-1 = spot s taken)
-    of a lot of `base` spots; with `wrap` the lot is a circle.
+def _place(mask: int, j: int, size: int, base: int, wrap: bool) -> int:
+    """Park a car of `size` at the empty spot `j` of occupancy bitmask
+    `mask` (bit s-1 = spot s taken) of a lot of `base` spots; with `wrap`
+    the lot is a circle.
 
-    Returns the new mask, or _PAST_END / _COLLISION. No bit above `base`
-    is ever set, so the linear scan stops by spot base + 1.
+    Returns the new mask, or _PAST_END / _COLLISION.
     """
-    j = pref
-    while (mask >> (j - 1)) & 1:
-        j = j % base + 1 if wrap else j + 1
     block = ((1 << size) - 1) << (j - 1)
     if j - 1 + size > base:
         if not wrap:
@@ -86,27 +85,50 @@ def _tally(
     """Classify every tuple whose first coordinate lies in [first_lo, first_hi].
 
     Returns (parked, collisions, past_end). Tuples are aggregated by the
-    occupancy state they reach; counts are exact integers.
+    occupancy state they reach; counts are exact integers. A car's outcome
+    depends only on the free spot its preference cruises to, and the
+    preferences that reach free spot j are those in (previous free spot, j],
+    so each state costs one `_place` per free spot, weighted by
+    j - previous. On the circle the first free spot also takes the wrapped
+    trailing run; on the line the trailing run cruises past the end. The
+    first car meets an empty lot, where each preference in
+    [first_lo, first_hi] is its own free spot.
     """
     n = sizes.n
     wrap = flavor == "circular"
     base = sizes.circle_size if wrap else sizes.total
+    full = (1 << base) - 1
 
-    parked = collisions = past_end = 0
+    collisions = past_end = 0
     states: dict[int, int] = {0: 1}
     for depth, size in enumerate(sizes.sizes):
-        lo, hi = (first_lo, first_hi) if depth == 0 else (1, base)
         weight = base ** (n - depth - 1)
         nxt: dict[int, int] = {}
         for mask, count in states.items():
-            for pref in range(lo, hi + 1):
-                outcome = _place(mask, pref, size, base, wrap)
+            if depth == 0:
+                free = (1 << first_hi) - (1 << (first_lo - 1))
+                prev = first_lo - 1
+            else:
+                free = full & ~mask
+                last = free.bit_length()
+                if wrap:  # the run after the last free spot wraps to the first
+                    prev = last - base
+                else:  # the run after the last free spot cruises past the end
+                    prev = 0
+                    past_end += count * (base - last) * weight
+            while free:
+                low = free & -free
+                free ^= low
+                j = low.bit_length()
+                reach = count * (j - prev)
+                prev = j
+                outcome = _place(mask, j, size, base, wrap)
                 if outcome == _PAST_END:
-                    past_end += count * weight
+                    past_end += reach * weight
                 elif outcome == _COLLISION:
-                    collisions += count * weight
+                    collisions += reach * weight
                 else:
-                    nxt[outcome] = nxt.get(outcome, 0) + count
+                    nxt[outcome] = nxt.get(outcome, 0) + reach
         states = nxt
     parked = sum(states.values())
     return parked, collisions, past_end
@@ -268,7 +290,15 @@ def verify_sweep(
     flavor: Flavor = "linear",
     budget: int = DEFAULT_BUDGET,
 ) -> list[EnumerationReport]:
-    """Run verify over every composition within the bounds."""
+    """Run verify over every composition within the bounds.
+
+    A bound below 1 admits no composition, so it raises ValueError rather
+    than return an empty sweep that reads as all matching.
+    """
+    if max_n < 1 or max_total < 1:
+        raise ValueError(
+            f"sweep bounds must be >= 1, got max_n={max_n}, max_total={max_total}"
+        )
     return [
         verify(SizeVector(comp), flavor, budget=budget)
         for comp in compositions(max_n, max_total)

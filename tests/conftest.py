@@ -1,5 +1,7 @@
+import functools
 import itertools
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 from parkseq import (
@@ -73,13 +75,50 @@ def naive_tally(sizes: SizeVector, flavor: str) -> tuple[int, int, int]:
     return parked, collisions, past_end
 
 
-def naive_parking_set(sizes: SizeVector, flavor: str) -> set[tuple[int, ...]]:
+def naive_prefix_tally(
+    sizes: SizeVector, flavor: str, first_lo: int, first_hi: int
+) -> tuple[int, int, int]:
+    """Classify the tuples whose first coordinate lies in [first_lo, first_hi],
+    merging prefixes that leave the same spots taken.
+
+    Every preference is tried and cruised spot by spot on a set of taken
+    spots: the literal reference for the oracle's free-spot step on domains
+    too large for naive_tally.
+    """
+    wrap = flavor == "circular"
+    base = sizes.circle_size if wrap else sizes.total
+    collisions = past_end = 0
+    states: Counter[frozenset[int]] = Counter({frozenset(): 1})
+    for depth, y in enumerate(sizes.sizes):
+        weight = base ** (sizes.n - depth - 1)
+        prefs = range(first_lo, first_hi + 1) if depth == 0 else range(1, base + 1)
+        nxt: Counter[frozenset[int]] = Counter()
+        for taken, count in states.items():
+            for c in prefs:
+                j = c
+                while j in taken:
+                    j = j % base + 1 if wrap else j + 1
+                block = [(j - 1 + k) % base + 1 if wrap else j + k for k in range(y)]
+                if block[-1] > base:
+                    past_end += count * weight
+                elif taken.intersection(block):
+                    collisions += count * weight
+                else:
+                    nxt[taken.union(block)] += count
+        states = nxt
+    return sum(states.values()), collisions, past_end
+
+
+@functools.cache
+def naive_parking_set(sizes: SizeVector, flavor: str) -> frozenset[tuple[int, ...]]:
+    """The parking sequences, one simulation per tuple. SizeVector hashes
+    by its sizes, so each (sizes, flavor) set is built once per session."""
     base = sizes.total if flavor == "linear" else sizes.circle_size
-    return {
+    return frozenset(
         tup
         for tup in itertools.product(range(1, base + 1), repeat=sizes.n)
         if isinstance(naive_simulate(sizes, PrefSequence(tup, flavor), flavor), Parked)
-    }
+    )
 
 
 def naive_free_spots(layout: Layout) -> set[int]:

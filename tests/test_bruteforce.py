@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parkseq import (
     BudgetExceededError,
@@ -10,8 +12,8 @@ from parkseq import (
     verify,
     verify_sweep,
 )
-from parkseq.bruteforce import bijection_checks
-from conftest import naive_tally
+from parkseq.bruteforce import _tally, bijection_checks
+from conftest import naive_prefix_tally, naive_tally
 
 
 CROSS_CHECK_CASES = [
@@ -26,18 +28,48 @@ CROSS_CHECK_CASES = [
 ]
 
 
+# every composition with n <= 4, T <= 6 in both flavors; the hand-picked
+# cases above stay first, so their test ids do not move
+CROSS_CHECK_CASES += [
+    (comp, flavor)
+    for flavor in ("linear", "circular")
+    for comp in compositions(4, 6)
+    if (comp, flavor) not in CROSS_CHECK_CASES
+]
+
+
 @pytest.mark.parametrize("comp, flavor", CROSS_CHECK_CASES)
 def test_tallies_match_literal_enumeration(comp, flavor):
     # the aggregated tally must agree, class by class, with one simulation
-    # per tuple over the whole domain
+    # per tuple over the whole domain, however the first coordinate is split
     sizes = SizeVector(comp)
-    report = verify(sizes, flavor)
-    assert (report.parked, report.collisions, report.past_end) == \
-        naive_tally(sizes, flavor)
+    expected = naive_tally(sizes, flavor)
     base = sizes.total if flavor == "linear" else sizes.circle_size
-    assert report.total_tuples == base**sizes.n
-    assert report.parked + report.collisions + report.past_end == \
-        report.total_tuples
+    for partitions in (1, 2, base):  # base: one first coordinate per part
+        report = verify(sizes, flavor, partitions=partitions)
+        assert (report.parked, report.collisions, report.past_end) == expected
+        assert report.total_tuples == base**sizes.n
+        assert report.parked + report.collisions + report.past_end == \
+            report.total_tuples
+
+
+@st.composite
+def sizes_flavor_and_first_range(draw):
+    comp = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    flavor = draw(st.sampled_from(["linear", "circular"]))
+    sizes = SizeVector(comp)
+    base = sizes.total if flavor == "linear" else sizes.circle_size
+    lo = draw(st.integers(1, base))
+    hi = draw(st.integers(lo, base))
+    return sizes, flavor, lo, hi
+
+
+@given(sizes_flavor_and_first_range())
+def test_tally_matches_prefix_reference(case):
+    # past naive_tally's reach: the free-spot step against a reference that
+    # tries every preference and cruises spot by spot
+    sizes, flavor, lo, hi = case
+    assert _tally(sizes, flavor, lo, hi) == naive_prefix_tally(sizes, flavor, lo, hi)
 
 
 class TestVerify:
@@ -123,6 +155,12 @@ class TestSweep:
             [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
         )
         assert all(r.match for r in reports)
+
+    @pytest.mark.parametrize("max_n, max_total", [(0, 5), (-2, 4), (3, 0)])
+    def test_empty_bounds_refused(self, max_n, max_total):
+        # an empty sweep would report all-match after checking nothing
+        with pytest.raises(ValueError, match="sweep bounds"):
+            verify_sweep(max_n, max_total)
 
     def test_budget_names_offender(self):
         with pytest.raises(BudgetExceededError) as exc_info:

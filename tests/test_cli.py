@@ -201,6 +201,15 @@ class TestVerify:
         assert code == 2
         assert "max-cars" in err
 
+    @pytest.mark.parametrize("max_cars, max_total",
+                             [("0", "5"), ("-2", "4"), ("3", "0")])
+    def test_empty_sweep_refused(self, capsys, max_cars, max_total):
+        code, out, err = run_cli(capsys, "verify", "--max-cars", max_cars,
+                                 "--max-total", max_total)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestBijection:
     def test_two_by_two(self, capsys):
