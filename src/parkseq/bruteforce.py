@@ -9,15 +9,19 @@ from then on), which gives per-tuple-exact tallies without per-tuple work.
 Within a state, preferences are grouped by the free spot they cruise to,
 so each state costs its number of free spots, not the lot size.
 The tests cross-check it against a literal one-simulation-per-tuple loop.
+
+The parking sequences themselves are listed by a depth-first walk over
+the prefixes that parked, which takes the same bitmask step as the tally
+once per free spot and never extends a failed prefix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection, Iterator
 
-from .core import Flavor, Parked, PrefSequence, SizeVector, simulate_linear
+from .core import Flavor, Parked, PrefSequence, SizeVector
 from .circular import simulate_circular
 from .counting import _decimal, count_circular, count_linear
 
@@ -172,17 +176,65 @@ def verify(
     )
 
 
+def _parking_states(
+    sizes: SizeVector, flavor: Flavor
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (prefs, final occupancy mask) for every parking sequence, in
+    lexicographic order.
+
+    A depth-first walk over the prefixes that parked, kept on an explicit
+    stack; a failed prefix is never extended. At each prefix the
+    preferences are walked from high to low, so each knows the free spot
+    it cruises to: those in (previous free spot, j] reach free spot j, and
+    the run after the last free spot cruises past the end on the line and
+    to the first free spot on the circle. So a prefix costs one `_place`
+    per free spot, the step `_tally` takes. Children are pushed from high
+    to low, so the lowest is popped first.
+    """
+    wrap = flavor == "circular"
+    base = sizes.circle_size if wrap else sizes.total
+    full = (1 << base) - 1
+    ys = sizes.sizes
+    n = len(ys)
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        prefix, mask = stack.pop()
+        depth = len(prefix)
+        if depth == n:
+            yield prefix, mask
+            continue
+        size = ys[depth]
+        free = full & ~mask
+        if wrap:
+            first = (free & -free).bit_length()
+            wrapped = _place(mask, first, size, base, wrap)
+            if wrapped >= 0:
+                for c in range(base, free.bit_length(), -1):
+                    stack.append((prefix + (c,), wrapped))
+        while free:
+            j = free.bit_length()
+            free ^= 1 << (j - 1)
+            if wrap and not free:  # j is the first free spot
+                outcome = wrapped
+            else:
+                outcome = _place(mask, j, size, base, wrap)
+            if outcome >= 0:
+                for c in range(j, free.bit_length(), -1):
+                    stack.append((prefix + (c,), outcome))
+
+
 def enumerate_parking_sequences(
     sizes: SizeVector, flavor: Flavor = "linear", budget: int = DEFAULT_BUDGET
 ) -> Iterator[PrefSequence]:
     """Yield the preference tuples under which all cars park, in
-    lexicographic order."""
-    base = _check_budget(sizes, flavor, budget)
-    simulate = simulate_linear if flavor == "linear" else simulate_circular
-    for tup in itertools.product(range(1, base + 1), repeat=sizes.n):
-        prefs = PrefSequence(tup, flavor)
-        if isinstance(simulate(sizes, prefs), Parked):
-            yield prefs
+    lexicographic order.
+
+    The budget is checked against the whole tuple domain, but only the
+    prefixes that parked are walked (see `_parking_states`).
+    """
+    _check_budget(sizes, flavor, budget)
+    for prefs, _ in _parking_states(sizes, flavor):
+        yield PrefSequence(prefs, flavor)
 
 
 def compositions(max_n: int, max_total: int) -> Iterator[tuple[int, ...]]:
@@ -223,6 +275,15 @@ class BijectionReport:
         )
 
 
+def _rotation_closed(tuples: Collection[tuple[int, ...]], m: int) -> bool:
+    """True iff adding 1 mod m to every coordinate maps `tuples` into itself.
+
+    Rotation by 1 is a permutation of order m, so a finite set closed under
+    it is closed under every rotation.
+    """
+    return all(tuple(c % m + 1 for c in p) in tuples for p in tuples)
+
+
 def bijection_checks(
     sizes: SizeVector, budget: int = DEFAULT_BUDGET
 ) -> BijectionReport:
@@ -231,9 +292,11 @@ def bijection_checks(
     Checks decode validity (simulation reproduces the decoded layout),
     injectivity, image = circular parking set = formula count, the
     spot-M-empty restriction against the linear parking set, and closure
-    of the circular set under all M rotations.
+    of the circular set under all M rotations. Both parking sets come from
+    one walk each over the parked prefixes (`_parking_states`); a circular
+    sequence leaves spot M empty exactly when its final occupancy is spots
+    1..T.
     """
-    from .circular import empty_spot, rotate
     from .divider import decode, enumerate_option_sequences
 
     _check_budget(sizes, "circular", budget)
@@ -250,24 +313,14 @@ def bijection_checks(
         if not (isinstance(result, Parked) and result.layout == layout):
             decode_valid = False
 
-    circular_set = {
-        p.prefs for p in enumerate_parking_sequences(sizes, "circular", budget)
-    }
-    linear_set = {
-        p.prefs for p in enumerate_parking_sequences(sizes, "linear", budget)
-    }
+    spot_m_empty = (1 << (m - 1)) - 1
+    circular_set = set()
     restricted = set()
-    rotation_invariant = True
-    for tup in circular_set:
-        prefs = PrefSequence(tup, "circular")
-        result = simulate_circular(sizes, prefs)
-        assert isinstance(result, Parked)
-        if empty_spot(result.layout) == m:
-            restricted.add(tup)
-        for a in range(m):
-            if rotate(sizes, prefs, a).prefs not in circular_set:
-                rotation_invariant = False
-                break
+    for prefs, mask in _parking_states(sizes, "circular"):
+        circular_set.add(prefs)
+        if mask == spot_m_empty:
+            restricted.add(prefs)
+    linear_set = {prefs for prefs, _ in _parking_states(sizes, "linear")}
 
     return BijectionReport(
         sizes=sizes,
@@ -280,7 +333,7 @@ def bijection_checks(
         image_equals_circular_set=image == circular_set,
         image_count_matches_formula=len(image) == count_circular(sizes),
         restriction_matches_linear_set=restricted == linear_set,
-        rotation_invariant=rotation_invariant,
+        rotation_invariant=_rotation_closed(circular_set, m),
     )
 
 

@@ -151,6 +151,10 @@ def _report_line(report: EnumerationReport) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     flavor = _flavor(args)
+    if args.sizes is not None and (
+        args.max_cars is not None or args.max_total is not None
+    ):
+        raise ValueError("--sizes cannot be combined with --max-cars or --max-total")
     if args.sizes is not None:
         sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
         reports = [verify(sizes, flavor, budget=args.budget)]

@@ -28,20 +28,14 @@ class SizeVector:
         for y in self.sizes:
             if not isinstance(y, int) or y < 1:
                 raise ValueError(f"car sizes must be positive integers, got {y!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def total(self) -> int:
-        """Number of spots in the linear lot: T = sum of sizes."""
-        return sum(self.sizes)
-
-    @property
-    def circle_size(self) -> int:
-        """Number of spots on the circular lot: M = T + 1."""
-        return self.total + 1
+        # Derived once here, not on every read: the kernel and the decoder
+        # read them on every call. They are not dataclass fields, so
+        # equality, hashing, repr and dataclasses.fields see only `sizes`.
+        object.__setattr__(self, "n", len(self.sizes))
+        # spots in the linear lot: T = sum of sizes
+        object.__setattr__(self, "total", sum(self.sizes))
+        # spots on the circular lot: M = T + 1
+        object.__setattr__(self, "circle_size", self.total + 1)
 
 
 @dataclass(frozen=True)

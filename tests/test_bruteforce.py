@@ -1,19 +1,40 @@
+import itertools
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import parkseq
+import parkseq.bruteforce
 from parkseq import (
     BudgetExceededError,
+    Parked,
+    PrefSequence,
     SizeVector,
     compositions,
     count_circular,
     count_linear,
+    decode,
+    enumerate_option_sequences,
     enumerate_parking_sequences,
+    rotate,
     verify,
     verify_sweep,
 )
-from parkseq.bruteforce import _tally, bijection_checks
-from conftest import naive_prefix_tally, naive_tally
+from parkseq.bruteforce import (
+    BijectionReport,
+    _rotation_closed,
+    _tally,
+    bijection_checks,
+)
+from conftest import (
+    naive_free_spots,
+    naive_parking_set,
+    naive_prefix_tally,
+    naive_simulate,
+    naive_tally,
+)
 
 
 CROSS_CHECK_CASES = [
@@ -136,6 +157,47 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError):
             next(enumerate_parking_sequences(SizeVector((2, 2)), budget=10))
 
+    @pytest.mark.parametrize("flavor", ["linear", "circular"])
+    @pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
+    def test_matches_literal_parking_set_in_order(self, comp, flavor):
+        # the prefix walk lists exactly the tuples one simulation per tuple
+        # parks, in lexicographic order
+        sizes = SizeVector(comp)
+        seqs = list(enumerate_parking_sequences(sizes, flavor))
+        assert all(p.flavor == flavor for p in seqs)
+        assert [p.prefs for p in seqs] == sorted(naive_parking_set(sizes, flavor))
+
+    def test_never_simulates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the enumerator must not call a simulator")
+
+        originals = (parkseq.simulate_linear, parkseq.simulate_circular)
+        for name, module in list(sys.modules.items()):
+            if name == "parkseq" or name.startswith("parkseq."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in originals):
+                        monkeypatch.setattr(module, attr, refuse)
+        sizes = SizeVector((2, 1, 2))
+        for flavor in ("linear", "circular"):
+            seqs = list(enumerate_parking_sequences(sizes, flavor))
+            assert len(seqs) == len(naive_parking_set(sizes, flavor))
+
+    def test_fewer_steps_than_sequences(self, monkeypatch):
+        # a prefix costs one bitmask step per free spot, shared by all its
+        # extensions, so the walk takes fewer steps than it yields sequences
+        place = parkseq.bruteforce._place
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return place(*args)
+
+        monkeypatch.setattr(parkseq.bruteforce, "_place", counting)
+        yielded = sum(1 for _ in enumerate_parking_sequences(SizeVector((1,) * 7)))
+        assert yielded == 8**6
+        assert calls < yielded
+
 
 class TestSweep:
     def test_small_linear_sweep_all_match(self):
@@ -198,3 +260,89 @@ def test_sweep_reports_match_circular_identity():
         assert report.formula_value == count_circular(report.sizes)
         assert report.formula_value == \
             report.sizes.circle_size * count_linear(report.sizes)
+
+
+def reference_bijection_report(sizes: SizeVector) -> BijectionReport:
+    """The bijection checks written out with the spot-by-spot references:
+    every decode simulated literally, the restriction read from the free
+    spots, and closure tested under every rotation."""
+    m = sizes.circle_size
+    image = []
+    decode_valid = True
+    for opts in enumerate_option_sequences(sizes):
+        prefs, layout = decode(sizes, opts)
+        image.append(prefs.prefs)
+        result = naive_simulate(sizes, prefs, "circular")
+        decode_valid &= isinstance(result, Parked) and result.layout == layout
+    circular = naive_parking_set(sizes, "circular")
+    linear = naive_parking_set(sizes, "linear")
+    restricted = {
+        p for p in circular
+        if naive_free_spots(
+            naive_simulate(sizes, PrefSequence(p, "circular"), "circular").layout
+        ) == {m}
+    }
+    rotation_invariant = all(
+        tuple((c - 1 + a) % m + 1 for c in p) in circular
+        for p in circular
+        for a in range(m)
+    )
+    return BijectionReport(
+        sizes=sizes,
+        option_sequences=len(image),
+        distinct_decodes=len(set(image)),
+        circular_parking_sequences=len(circular),
+        linear_parking_sequences=len(linear),
+        decode_valid=decode_valid,
+        decode_injective=len(set(image)) == len(image),
+        image_equals_circular_set=set(image) == circular,
+        image_count_matches_formula=len(set(image)) == count_circular(sizes),
+        restriction_matches_linear_set=restricted == linear,
+        rotation_invariant=rotation_invariant,
+    )
+
+
+@pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
+def test_bijection_checks_match_reference(comp):
+    sizes = SizeVector(comp)
+    report = bijection_checks(sizes)
+    assert report == reference_bijection_report(sizes)
+    assert report.all_pass
+
+
+@pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)])
+def test_rotation_closure_sees_a_missing_rotation(comp):
+    sizes = SizeVector(comp)
+    m = sizes.circle_size
+    parking = naive_parking_set(sizes, "circular")
+    assert _rotation_closed(parking, m)
+    first = min(parking)
+    for a in range(1, m):
+        rotated = rotate(sizes, PrefSequence(first, "circular"), a).prefs
+        assert not _rotation_closed(parking - {rotated}, m)
+
+
+@st.composite
+def tuple_sets(draw):
+    # unions of whole rotation orbits with some tuples dropped, so that
+    # closed and unclosed sets are both drawn often
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    domain = list(itertools.product(range(1, m + 1), repeat=n))
+    seeds = draw(st.lists(st.sampled_from(domain), max_size=6))
+    orbits = {
+        tuple((c - 1 + a) % m + 1 for c in p) for p in seeds for a in range(m)
+    }
+    dropped = draw(st.lists(st.sampled_from(domain), max_size=2))
+    return orbits - set(dropped), m
+
+
+@given(tuple_sets())
+def test_one_step_rotation_closure_equals_every_rotation(case):
+    tuples, m = case
+    literal = all(
+        tuple((c - 1 + a) % m + 1 for c in p) in tuples
+        for p in tuples
+        for a in range(m)
+    )
+    assert _rotation_closed(tuples, m) == literal

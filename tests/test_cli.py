@@ -210,6 +210,21 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("bounds", [
+        ("--max-cars", "3", "--max-total", "6"),
+        ("--max-cars", "3"),
+        ("--max-total", "6"),
+    ])
+    @pytest.mark.parametrize("as_json", [(), ("--json",)])
+    def test_sizes_with_sweep_bounds_refused(self, capsys, bounds, as_json):
+        # the sweep bounds would be ignored, checking only the given sizes
+        code, out, err = run_cli(capsys, "verify", "--sizes", "2,2",
+                                 *bounds, *as_json)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--sizes" in err
+
 
 class TestBijection:
     def test_two_by_two(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -82,6 +83,17 @@ class TestInputContract:
     def test_derived_quantities(self):
         sv = SizeVector((2, 2, 1))
         assert (sv.n, sv.total, sv.circle_size) == (3, 5, 6)
+
+    def test_derived_quantities_stay_out_of_the_value(self):
+        # n, total and circle_size are stored once per instance; the value
+        # of a SizeVector is still its sizes alone
+        sv = SizeVector([2, 2, 1])
+        assert [f.name for f in dataclasses.fields(sv)] == ["sizes"]
+        assert repr(sv) == "SizeVector(sizes=(2, 2, 1))"
+        assert sv == SizeVector((2, 2, 1)) and hash(sv) == hash(SizeVector((2, 2, 1)))
+        assert dataclasses.replace(sv, sizes=(4,)).circle_size == 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sv.total = 6
 
 
 class TestClassicalChecker:
