@@ -24,6 +24,7 @@ from typing import Collection, Iterator
 from .core import Flavor, Parked, PrefSequence, SizeVector
 from .circular import simulate_circular
 from .counting import _decimal, count_circular, count_linear
+from .divider import decode, enumerate_option_sequences
 
 DEFAULT_BUDGET = 10**8
 
@@ -297,8 +298,6 @@ def bijection_checks(
     sequence leaves spot M empty exactly when its final occupancy is spots
     1..T.
     """
-    from .divider import decode, enumerate_option_sequences
-
     _check_budget(sizes, "circular", budget)
     m = sizes.circle_size
 

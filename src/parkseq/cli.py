@@ -206,23 +206,34 @@ def cmd_bijection(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    """Print each draw as it is drawn; no draw is held after it is printed.
+
+    The --json document streams too, byte for byte what json.dumps prints
+    for the whole payload.
+    """
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
     flavor = _flavor(args)
     if args.count < 0:
         raise ValueError("--count must be >= 0")
     rng = Random(args.seed)
     draw = sample_circular if flavor == "circular" else sample_linear
-    samples = [draw(sizes, rng) for _ in range(args.count)]
-    payload = {
+    draws = (draw(sizes, rng).prefs for _ in range(args.count))
+    if not args.json:
+        for prefs in draws:
+            print(",".join(map(str, prefs)))
+        return EXIT_OK
+    head = json.dumps({
         "command": "sample",
         "sizes": list(sizes.sizes),
         "flavor": flavor,
         "seed": args.seed,
         "count": args.count,
-        "samples": [list(s.prefs) for s in samples],
-    }
-    lines = [",".join(map(str, s.prefs)) for s in samples]
-    _emit(payload, args.json, lines)
+        "samples": [],
+    })
+    print(head[:-2], end="")  # up to and including the samples' "["
+    for k, prefs in enumerate(draws):
+        print(", " if k else "", json.dumps(prefs), sep="", end="")
+    print("]}")
     return EXIT_OK
 
 

@@ -16,7 +16,9 @@ The choices of car i are numbered 0 .. option_count(sizes, i) - 1 by
 option_at: direct picks first, then cruise targets in (car, offset)
 order. The samplers draw the anchor and then one integer per car, each
 uniform over its option_count, and map it to its option; no option list
-is built.
+is built. The linear draw is the decoded circular draw shifted so its
+empty spot lands on M; nothing is simulated, and the tests check the
+shift against rotate + restrict_to_linear.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence, Union
 
-from .circular import empty_spot, restrict_to_linear, rotate, wrap_spot
+from .circular import empty_spot, wrap_spot
 from .core import Layout, PrefSequence, SizeVector
 from .counting import option_count
 
@@ -199,14 +201,10 @@ def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
 def sample_linear(sizes: SizeVector, rng: Random) -> PrefSequence:
     """Draw a linear parking sequence exactly uniformly.
 
-    Rotating a uniform circular sample so its empty spot lands on M picks
+    Shifting a uniform circular sample so its empty spot lands on M picks
     the unique such representative of its rotation orbit; orbits all have
-    size M, so uniformity is preserved.
+    size M, so uniformity is preserved. Nothing is parked again.
     """
     prefs, layout = _sample_decoded(sizes, rng)
-    e = empty_spot(layout)
-    aligned = rotate(sizes, prefs, sizes.circle_size - e)
-    linear = restrict_to_linear(sizes, aligned)
-    if linear is None:  # decode guarantees this cannot happen
-        raise RuntimeError("rotated sample failed to restrict to linear")
-    return linear
+    e, m = empty_spot(layout), sizes.circle_size
+    return PrefSequence(tuple(wrap_spot(c - e, m) for c in prefs.prefs), "linear")

@@ -1,21 +1,35 @@
+import contextlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from random import Random
 
 import pytest
 
 from conftest import unlimited_str_digits
-from parkseq import count_classical
+from parkseq import SizeVector, count_classical, sample_circular, sample_linear
 from parkseq.cli import main
 
 UNIT_CARS_2000 = ",".join(["1"] * 2000)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class NullStdout:
+    """A stdout that keeps nothing, not even a write buffer."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def run_json(capsys, *argv):
@@ -308,19 +322,60 @@ class TestSample:
         assert len(doc["samples"]) == 2
 
     def test_negative_count(self, capsys):
-        code, _, err = run_cli(capsys, "sample", "--sizes", "2,2",
-                               "--count", "-1", "--seed", "1")
-        assert code == 2
-        assert "count" in err
+        for as_json in ((), ("--json",)):
+            code, out, err = run_cli(capsys, "sample", "--sizes", "2,2",
+                                     "--count", "-1", "--seed", "1", *as_json)
+            assert code == 2
+            assert out == ""
+            assert "count" in err
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("flavor", ["linear", "circular"])
+    def test_streamed_output_is_the_whole_document(self, capsys, count, flavor):
+        # each draw is printed as it is drawn, and the bytes are those of
+        # all draws printed at once, the --json document included
+        sizes = SizeVector((2, 1, 3))
+        draw = sample_circular if flavor == "circular" else sample_linear
+        rng = Random(5)
+        samples = [list(draw(sizes, rng).prefs) for _ in range(count)]
+        argv = ["sample", "--sizes", "2,1,3", "--count", str(count), "--seed", "5"]
+        if flavor == "circular":
+            argv.append("--circular")
+        text = "".join(",".join(map(str, s)) + "\n" for s in samples)
+        assert run_cli(capsys, *argv) == (0, text, "")
+        payload = {"command": "sample", "sizes": [2, 1, 3], "flavor": flavor,
+                   "seed": 5, "count": count, "samples": samples}
+        assert run_cli(capsys, *argv, "--json") == (0, json.dumps(payload) + "\n", "")
+
+    @pytest.mark.parametrize("as_json", [(), ("--json",)])
+    def test_memory_does_not_grow_with_count(self, as_json):
+        # holding every draw costs about 300 bytes each, 3 MB at 10^4 draws
+        def peak(count):
+            argv = ["sample", "--sizes", "2,1,3", "--count", str(count),
+                    "--seed", "1", *as_json]
+            with contextlib.redirect_stdout(NullStdout()):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # first-call allocations (argparse, caches) are not draws; the
+        # interpreter's free lists of small tuples keep a bounded number of
+        # freed draws, well under the bound
+        peak(1)
+        assert peak(10_000) - peak(100) < 2**19
 
 
 class TestProcessLevel:
     """End-to-end through the interpreter, exercising argparse's own exits."""
 
-    def run(self, *argv):
+    def run(self, *argv, module="parkseq"):
         return subprocess.run(
-            [sys.executable, "-m", "parkseq", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
         )
 
     def test_missing_required_flag(self):
@@ -342,3 +397,11 @@ class TestProcessLevel:
     def test_seed_is_mandatory(self):
         proc = self.run("sample", "--sizes", "2,2", "--count", "1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("module", ["parkseq", "parkseq.cli"])
+    def test_usage_error_exit_code_reaches_the_shell(self, module):
+        proc = self.run("verify", "--sizes", "2,2", "--max-cars", "3",
+                        "--max-total", "6", module=module)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")

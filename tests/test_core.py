@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from parkseq import (
     Collision,
+    Layout,
+    OptionSequence,
     Parked,
     PastEnd,
     PrefSequence,
     SizeVector,
     compositions,
+    decode,
     is_classical_parking_function,
     is_parking_sequence,
+    options_for_car,
     simulate_circular,
     simulate_linear,
 )
@@ -94,6 +98,38 @@ class TestInputContract:
         assert dataclasses.replace(sv, sizes=(4,)).circle_size == 5
         with pytest.raises(dataclasses.FrozenInstanceError):
             sv.total = 6
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PrefSequence((1, 2), "spiral"),
+        lambda: PrefSequence((1, 0)),
+        lambda: PrefSequence((1, -3), "circular"),
+        lambda: PrefSequence((1, 2.0)),
+        lambda: PrefSequence((1, "2")),
+        lambda: Layout(SizeVector((2, 1)), (1,)),
+        lambda: Layout(SizeVector((2,)), (1, 3), "circular"),
+        lambda: decode(SizeVector((1, 1)), OptionSequence(1, ("direct",))),
+        lambda: options_for_car(SizeVector((1, 1, 1)), 1),
+        lambda: options_for_car(SizeVector((1, 1, 1)), 4),
+    ],
+    ids=[
+        "unknown-flavor",
+        "zero-pref",
+        "negative-pref",
+        "float-pref",
+        "str-pref",
+        "too-few-starts",
+        "too-many-starts",
+        "unknown-car-option",
+        "car-index-below-2",
+        "car-index-above-n",
+    ],
+)
+def test_public_constructors_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestClassicalChecker:

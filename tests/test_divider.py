@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import sys
 from collections import Counter
 from random import Random
 
@@ -23,13 +24,16 @@ from parkseq import (
     is_parking_sequence,
     option_count,
     options_for_car,
+    restrict_to_linear,
+    rotate,
     sample_circular,
     sample_linear,
     simulate_circular,
+    simulate_linear,
 )
 from parkseq.cli import main
 from parkseq.divider import option_at
-from conftest import naive_parking_set
+from conftest import naive_free_spots, naive_parking_set, naive_simulate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_streams.json")
 
@@ -188,6 +192,63 @@ class TestSamplers:
         sizes = SizeVector((1, 2))
         rng = Random(seed)
         assert is_parking_sequence(sizes, sample_linear(sizes, rng))
+
+
+def random_composition(rng, total, parts):
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    edges = (0, *cuts, total)
+    return tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+class TestLinearShift:
+    """sample_linear shifts the decoded circular draw so its empty spot
+    lands on M. Its witnesses live here: the same draw from sample_circular
+    (both consume the generator identically), its empty spot from the
+    literal simulator, and rotate + restrict_to_linear."""
+
+    @staticmethod
+    def witness(sizes, seed):
+        circular = sample_circular(sizes, Random(seed))
+        parked = naive_simulate(sizes, circular, "circular")
+        assert isinstance(parked, Parked)
+        (e,) = naive_free_spots(parked.layout)
+        return restrict_to_linear(sizes, rotate(sizes, circular, sizes.circle_size - e))
+
+    def check(self, sizes, seed):
+        linear = sample_linear(sizes, Random(seed))
+        assert linear == self.witness(sizes, seed)
+        assert isinstance(naive_simulate(sizes, linear, "linear"), Parked)
+
+    @pytest.mark.parametrize("comp", list(compositions(4, 8)), ids=str)
+    def test_equals_rotate_and_restrict(self, comp):
+        for seed in range(5):
+            self.check(SizeVector(comp), seed)
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_rotate_and_restrict_on_longer_vectors(self, comp, seed):
+        self.check(SizeVector(tuple(comp)), seed)
+
+    def test_parks_nothing(self, monkeypatch):
+        rng = Random(2017)
+        vectors = [SizeVector(random_composition(rng, 512, 128)) for _ in range(4)]
+        vectors += [SizeVector((3,)), SizeVector((2, 1, 3))]
+        expected = {(v, seed): self.witness(v, seed) for v in vectors for seed in range(3)}
+
+        def refuse(*args):
+            raise AssertionError("sample_linear must not park or rotate anything")
+
+        originals = (simulate_circular, simulate_linear, restrict_to_linear, rotate)
+        for name, module in list(sys.modules.items()):
+            if name == "parkseq" or name.startswith("parkseq."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in originals):
+                        monkeypatch.setattr(module, attr, refuse)
+        for (sizes, seed), linear in expected.items():
+            assert sample_linear(sizes, Random(seed)) == linear
 
 
 class TestGoldenStreams:
