@@ -21,8 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from .core import Flavor, Parked, PrefSequence, SizeVector
-from .circular import simulate_circular
+from .core import Flavor, PrefSequence, SizeVector
 from .counting import _decimal, count_circular, count_linear
 from .divider import decode, enumerate_option_sequences
 
@@ -179,30 +178,31 @@ def verify(
 
 def _parking_states(
     sizes: SizeVector, flavor: Flavor
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (prefs, final occupancy mask) for every parking sequence, in
-    lexicographic order.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Yield (prefs, starts, final occupancy mask) for every parking
+    sequence, in lexicographic order; car i parks at starts[i-1].
 
     A depth-first walk over the prefixes that parked, kept on an explicit
     stack; a failed prefix is never extended. At each prefix the
     preferences are walked from high to low, so each knows the free spot
-    it cruises to: those in (previous free spot, j] reach free spot j, and
-    the run after the last free spot cruises past the end on the line and
-    to the first free spot on the circle. So a prefix costs one `_place`
-    per free spot, the step `_tally` takes. Children are pushed from high
-    to low, so the lowest is popped first.
+    it cruises to, which is where it parks: those in (previous free spot,
+    j] reach free spot j, and the run after the last free spot cruises
+    past the end on the line and to the first free spot on the circle. So
+    a prefix costs one `_place` per free spot, the step `_tally` takes,
+    and the children that park at one spot share one starts tuple.
+    Children are pushed from high to low, so the lowest is popped first.
     """
     wrap = flavor == "circular"
     base = sizes.circle_size if wrap else sizes.total
     full = (1 << base) - 1
     ys = sizes.sizes
     n = len(ys)
-    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
     while stack:
-        prefix, mask = stack.pop()
+        prefix, starts, mask = stack.pop()
         depth = len(prefix)
         if depth == n:
-            yield prefix, mask
+            yield prefix, starts, mask
             continue
         size = ys[depth]
         free = full & ~mask
@@ -210,8 +210,9 @@ def _parking_states(
             first = (free & -free).bit_length()
             wrapped = _place(mask, first, size, base, wrap)
             if wrapped >= 0:
+                parked = starts + (first,)
                 for c in range(base, free.bit_length(), -1):
-                    stack.append((prefix + (c,), wrapped))
+                    stack.append((prefix + (c,), parked, wrapped))
         while free:
             j = free.bit_length()
             free ^= 1 << (j - 1)
@@ -220,8 +221,9 @@ def _parking_states(
             else:
                 outcome = _place(mask, j, size, base, wrap)
             if outcome >= 0:
+                parked = starts + (j,)
                 for c in range(j, free.bit_length(), -1):
-                    stack.append((prefix + (c,), outcome))
+                    stack.append((prefix + (c,), parked, outcome))
 
 
 def enumerate_parking_sequences(
@@ -234,7 +236,7 @@ def enumerate_parking_sequences(
     prefixes that parked are walked (see `_parking_states`).
     """
     _check_budget(sizes, flavor, budget)
-    for prefs, _ in _parking_states(sizes, flavor):
+    for prefs, _, _ in _parking_states(sizes, flavor):
         yield PrefSequence(prefs, flavor)
 
 
@@ -290,16 +292,27 @@ def bijection_checks(
 ) -> BijectionReport:
     """Decode every option sequence and compare against brute force.
 
-    Checks decode validity (simulation reproduces the decoded layout),
-    injectivity, image = circular parking set = formula count, the
-    spot-M-empty restriction against the linear parking set, and closure
-    of the circular set under all M rotations. Both parking sets come from
-    one walk each over the parked prefixes (`_parking_states`); a circular
-    sequence leaves spot M empty exactly when its final occupancy is spots
-    1..T.
+    Checks decode validity, injectivity, image = circular parking set =
+    formula count, the spot-M-empty restriction against the linear
+    parking set, and closure of the circular set under all M rotations.
+    Both parking sets come from one walk each over the parked prefixes
+    (`_parking_states`). The circular walk is also decode's witness: it
+    parks every circular parking sequence with the bitmask step, and a
+    decoded sequence is valid when the walk parked those preferences at
+    exactly the decoded starts. A circular sequence leaves spot M empty
+    exactly when its final occupancy is spots 1..T.
     """
     _check_budget(sizes, "circular", budget)
     m = sizes.circle_size
+
+    spot_m_empty = (1 << (m - 1)) - 1
+    circular: dict[tuple[int, ...], tuple[int, ...]] = {}
+    restricted = set()
+    for prefs, starts, mask in _parking_states(sizes, "circular"):
+        circular[prefs] = starts
+        if mask == spot_m_empty:
+            restricted.add(prefs)
+    linear_set = {prefs for prefs, _, _ in _parking_states(sizes, "linear")}
 
     total = 0
     decode_valid = True
@@ -308,31 +321,21 @@ def bijection_checks(
         prefs, layout = decode(sizes, opts)
         total += 1
         image.add(prefs.prefs)
-        result = simulate_circular(sizes, prefs)
-        if not (isinstance(result, Parked) and result.layout == layout):
+        if circular.get(prefs.prefs) != layout.starts:
             decode_valid = False
-
-    spot_m_empty = (1 << (m - 1)) - 1
-    circular_set = set()
-    restricted = set()
-    for prefs, mask in _parking_states(sizes, "circular"):
-        circular_set.add(prefs)
-        if mask == spot_m_empty:
-            restricted.add(prefs)
-    linear_set = {prefs for prefs, _ in _parking_states(sizes, "linear")}
 
     return BijectionReport(
         sizes=sizes,
         option_sequences=total,
         distinct_decodes=len(image),
-        circular_parking_sequences=len(circular_set),
+        circular_parking_sequences=len(circular),
         linear_parking_sequences=len(linear_set),
         decode_valid=decode_valid,
         decode_injective=len(image) == total,
-        image_equals_circular_set=image == circular_set,
+        image_equals_circular_set=image == circular.keys(),
         image_count_matches_formula=len(image) == count_circular(sizes),
         restriction_matches_linear_set=restricted == linear_set,
-        rotation_invariant=_rotation_closed(circular_set, m),
+        rotation_invariant=_rotation_closed(circular, m),
     )
 
 

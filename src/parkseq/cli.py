@@ -2,7 +2,12 @@
 
 Exit codes: 0 success / all checks pass, 1 valid-input negative result
 (failure to park, formula mismatch, failed bijection check), 2 usage
-error, 3 enumeration budget refusal.
+error, 3 enumeration budget refusal. A reader that closes stdout early
+(`parkseq sample ... | head -1`, `parkseq count ... | true`) gets
+nothing on stderr, and the rest of the output is dropped. The call ends
+with the code of its result when that was already reached (a failure to
+park still exits 1), and with 0 when the pipe broke while the command
+was still printing.
 
 JSON output is one document per invocation with top-level keys "command",
 "sizes", "flavor" plus a command-specific payload. Counts are serialized
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from random import Random
 from typing import Sequence
@@ -130,22 +136,23 @@ def _report_dict(report: EnumerationReport) -> dict:
     return {
         "sizes": list(report.sizes.sizes),
         "flavor": report.flavor,
-        "total_tuples": str(report.total_tuples),
-        "parked": str(report.parked),
-        "collisions": str(report.collisions),
-        "past_end": str(report.past_end),
-        "formula": str(report.formula_value),
+        "total_tuples": _decimal(report.total_tuples),
+        "parked": _decimal(report.parked),
+        "collisions": _decimal(report.collisions),
+        "past_end": _decimal(report.past_end),
+        "formula": _decimal(report.formula_value),
         "match": report.match,
     }
 
 
 def _report_line(report: EnumerationReport) -> str:
+    d = _report_dict(report)
     verdict = "MATCH" if report.match else "MISMATCH"
     return (
         f"sizes={','.join(map(str, report.sizes.sizes))} ({report.flavor}): "
-        f"{report.total_tuples} tuples, {report.parked} parked, "
-        f"{report.collisions} collisions, {report.past_end} past-end, "
-        f"formula {report.formula_value}, {verdict}"
+        f"{d['total_tuples']} tuples, {d['parked']} parked, "
+        f"{d['collisions']} collisions, {d['past_end']} past-end, "
+        f"formula {d['formula']}, {verdict}"
     )
 
 
@@ -185,18 +192,20 @@ def cmd_bijection(args: argparse.Namespace) -> int:
         "command": "bijection",
         "sizes": list(sizes.sizes),
         "flavor": "circular",
-        "option_sequences": str(report.option_sequences),
-        "distinct_decodes": str(report.distinct_decodes),
-        "circular_parking_sequences": str(report.circular_parking_sequences),
-        "linear_parking_sequences": str(report.linear_parking_sequences),
+        "option_sequences": _decimal(report.option_sequences),
+        "distinct_decodes": _decimal(report.distinct_decodes),
+        "circular_parking_sequences": _decimal(report.circular_parking_sequences),
+        "linear_parking_sequences": _decimal(report.linear_parking_sequences),
         "checks": checks,
         "all_pass": report.all_pass,
     }
     lines = [
-        f"option sequences: {report.option_sequences}",
-        f"distinct decodes: {report.distinct_decodes}",
-        f"circular parking sequences (brute force): {report.circular_parking_sequences}",
-        f"linear parking sequences (brute force): {report.linear_parking_sequences}",
+        f"option sequences: {payload['option_sequences']}",
+        f"distinct decodes: {payload['distinct_decodes']}",
+        "circular parking sequences (brute force): "
+        f"{payload['circular_parking_sequences']}",
+        "linear parking sequences (brute force): "
+        f"{payload['linear_parking_sequences']}",
     ]
     for name, ok in checks.items():
         lines.append(f"{name}: {'pass' if ok else 'FAIL'}")
@@ -291,14 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a reader gone before the end of a short
+        # output is seen below and not at the interpreter's exit
+        sys.stdout.flush()
+        return code
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Point stdout at devnull, so that what is still buffered, flushed
+        # at exit, does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from random import Random
 from typing import Iterator, Sequence, Union
 
 from .circular import empty_spot, wrap_spot
-from .core import Layout, PrefSequence, SizeVector
+from .core import Layout, PrefSequence, SizeVector, _layout_of, _prefs_of
 from .counting import option_count
 
 
@@ -71,8 +71,10 @@ def decode(
 ) -> tuple[PrefSequence, Layout]:
     """Turn an option sequence into a circular parking sequence and its layout.
 
-    Simulating the returned preferences parks every car in exactly the
-    returned layout.
+    Parking the returned preferences puts every car in exactly the
+    returned layout; `bruteforce.bijection_checks` checks that against
+    the starts its circular walk parks each sequence at. The option
+    sequence is validated; the returned objects are built unvalidated.
     """
     n = sizes.n
     m = sizes.circle_size
@@ -115,15 +117,17 @@ def decode(
 
     # Collapse the dividers: walk clockwise from car 1's cell at the anchor
     # spot; a car cell spans its size, the lone open cell spans one spot.
+    # Spots stay in [1, M] and sizes below M, so one subtraction wraps.
     starts = [0] * n
     spot = opts.anchor
-    for p in range(n + 1):
-        car = cells[p]
+    for car in cells:
         if car == 0:
-            spot = wrap_spot(spot + 1, m)
+            spot += 1
         else:
             starts[car - 1] = spot
-            spot = wrap_spot(spot + sizes.sizes[car - 1], m)
+            spot += sizes.sizes[car - 1]
+        if spot > m:
+            spot -= m
 
     prefs = [0] * n
     prefs[0] = opts.anchor
@@ -132,11 +136,12 @@ def decode(
             prefs[i - 1] = starts[i - 1]
         else:
             # offset k in [1, y_j] points at the k-th spot of car j's block
-            prefs[i - 1] = wrap_spot(starts[opt.car - 1] + opt.offset - 1, m)
+            c = starts[opt.car - 1] + opt.offset - 1
+            prefs[i - 1] = c - m if c > m else c
 
     return (
-        PrefSequence(tuple(prefs), "circular"),
-        Layout(sizes, tuple(starts), "circular"),
+        _prefs_of(tuple(prefs), "circular"),
+        _layout_of(sizes, tuple(starts), "circular"),
     )
 
 

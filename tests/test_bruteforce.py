@@ -9,6 +9,7 @@ import parkseq
 import parkseq.bruteforce
 from parkseq import (
     BudgetExceededError,
+    Layout,
     Parked,
     PrefSequence,
     SizeVector,
@@ -19,11 +20,14 @@ from parkseq import (
     enumerate_option_sequences,
     enumerate_parking_sequences,
     rotate,
+    simulate_circular,
+    simulate_linear,
     verify,
     verify_sweep,
 )
 from parkseq.bruteforce import (
     BijectionReport,
+    _parking_states,
     _rotation_closed,
     _tally,
     bijection_checks,
@@ -35,6 +39,21 @@ from conftest import (
     naive_simulate,
     naive_tally,
 )
+
+
+@pytest.fixture
+def no_simulators(monkeypatch):
+    """Every binding of simulate_linear/simulate_circular in the package
+    raises while the test runs."""
+    def refuse(*args):
+        raise AssertionError("no simulator may be called here")
+
+    originals = (parkseq.simulate_linear, parkseq.simulate_circular)
+    for name, module in list(sys.modules.items()):
+        if name == "parkseq" or name.startswith("parkseq."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse)
 
 
 CROSS_CHECK_CASES = [
@@ -167,16 +186,7 @@ class TestEnumerate:
         assert all(p.flavor == flavor for p in seqs)
         assert [p.prefs for p in seqs] == sorted(naive_parking_set(sizes, flavor))
 
-    def test_never_simulates(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the enumerator must not call a simulator")
-
-        originals = (parkseq.simulate_linear, parkseq.simulate_circular)
-        for name, module in list(sys.modules.items()):
-            if name == "parkseq" or name.startswith("parkseq."):
-                for attr, value in list(vars(module).items()):
-                    if any(value is f for f in originals):
-                        monkeypatch.setattr(module, attr, refuse)
+    def test_never_simulates(self, no_simulators):
         sizes = SizeVector((2, 1, 2))
         for flavor in ("linear", "circular"):
             seqs = list(enumerate_parking_sequences(sizes, flavor))
@@ -308,6 +318,81 @@ def test_bijection_checks_match_reference(comp):
     report = bijection_checks(sizes)
     assert report == reference_bijection_report(sizes)
     assert report.all_pass
+
+
+@pytest.mark.parametrize("flavor", ["linear", "circular"])
+@pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
+def test_parking_states_yield_the_simulated_starts(comp, flavor):
+    # the walk's starts are decode's witness in bijection_checks
+    sizes = SizeVector(comp)
+    simulate = simulate_circular if flavor == "circular" else simulate_linear
+    for prefs, starts, _ in _parking_states(sizes, flavor):
+        seq = PrefSequence(prefs, flavor)
+        assert simulate(sizes, seq).layout.starts == starts
+        assert naive_simulate(sizes, seq, flavor).layout.starts == starts
+
+
+WITNESS_CASES = [(1, 2), (2, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]
+
+
+def report_with_first_decode(monkeypatch, sizes, corrupt):
+    """bijection_checks with the first decoded (prefs, layout) pair
+    replaced by corrupt(prefs, layout)."""
+    calls = 0
+
+    def patched(sizes, opts):
+        nonlocal calls
+        calls += 1
+        prefs, layout = decode(sizes, opts)
+        return corrupt(prefs, layout) if calls == 1 else (prefs, layout)
+
+    monkeypatch.setattr(parkseq.bruteforce, "decode", patched)
+    return bijection_checks(sizes)
+
+
+@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
+def test_decode_witness_sees_a_moved_start(monkeypatch, comp):
+    sizes = SizeVector(comp)
+    m = sizes.circle_size
+
+    def move_first_start(prefs, layout):
+        starts = (layout.starts[0] % m + 1,) + layout.starts[1:]
+        return prefs, Layout(sizes, starts, "circular")
+
+    report = report_with_first_decode(monkeypatch, sizes, move_first_start)
+    assert not report.decode_valid
+    assert report.image_equals_circular_set  # the preferences are untouched
+
+
+@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
+def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
+    sizes = SizeVector(comp)
+    domain = itertools.product(range(1, sizes.circle_size + 1), repeat=sizes.n)
+    stray = min(set(domain) - naive_parking_set(sizes, "circular"))
+    report = report_with_first_decode(
+        monkeypatch, sizes,
+        lambda prefs, layout: (PrefSequence(stray, "circular"), layout),
+    )
+    assert not report.decode_valid
+    assert not report.image_equals_circular_set
+
+
+@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
+def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
+    sizes = SizeVector(comp)
+    monkeypatch.setattr(
+        parkseq.bruteforce, "enumerate_option_sequences",
+        lambda sizes: itertools.islice(enumerate_option_sequences(sizes), 1, None),
+    )
+    report = bijection_checks(sizes)
+    assert not (report.decode_injective and report.image_count_matches_formula)
+    assert not report.image_equals_circular_set
+
+
+@pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)], ids=str)
+def test_bijection_checks_never_simulate(no_simulators, comp):
+    sizes = SizeVector(comp)
+    assert bijection_checks(sizes) == reference_bijection_report(sizes)
 
 
 @pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)])

@@ -8,8 +8,17 @@ from random import Random
 
 import pytest
 
+import parkseq.cli
 from conftest import unlimited_str_digits
-from parkseq import SizeVector, count_classical, sample_circular, sample_linear
+from parkseq import (
+    PrefSequence,
+    SizeVector,
+    count_classical,
+    is_parking_sequence,
+    sample_circular,
+    sample_linear,
+)
+from parkseq.bruteforce import BijectionReport, EnumerationReport
 from parkseq.cli import main
 
 UNIT_CARS_2000 = ",".join(["1"] * 2000)
@@ -120,6 +129,44 @@ class TestCount:
         code, doc, _ = run_json(capsys, "count", "--sizes", UNIT_CARS_2000)
         assert code == 0
         assert doc["count"] == expected
+
+    def test_report_fields_past_the_str_digit_limit(self, capsys, monkeypatch):
+        # no instance the budget admits has such counts, so the report is
+        # stubbed; every count field prints in full
+        big = count_classical(2000)
+        counts = (big + 3, big, big + 1, big + 2, big)
+        report = EnumerationReport(SizeVector((1,)), "linear", *counts, True)
+        monkeypatch.setattr(parkseq.cli, "verify", lambda *args, **kw: report)
+        with unlimited_str_digits():
+            digits = [str(x) for x in counts]
+        code, out, err = run_cli(capsys, "verify", "--sizes", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == (
+            f"sizes=1 (linear): {digits[0]} tuples, {digits[1]} parked, "
+            f"{digits[2]} collisions, {digits[3]} past-end, "
+            f"formula {digits[4]}, MATCH"
+        )
+        code, doc, _ = run_json(capsys, "verify", "--sizes", "1")
+        assert code == 0
+        fields = ("total_tuples", "parked", "collisions", "past_end", "formula")
+        assert [doc["reports"][0][f] for f in fields] == digits
+
+    def test_bijection_fields_past_the_str_digit_limit(self, capsys, monkeypatch):
+        big = count_classical(2000)
+        counts = (big, big + 1, big + 2, big + 3)
+        report = BijectionReport(SizeVector((1,)), *counts, *[True] * 6)
+        monkeypatch.setattr(parkseq.cli, "bijection_checks",
+                            lambda *args, **kw: report)
+        with unlimited_str_digits():
+            digits = [str(x) for x in counts]
+        code, out, err = run_cli(capsys, "bijection", "--sizes", "1")
+        assert (code, err) == (0, "")
+        assert [line.rsplit(" ", 1)[1] for line in out.splitlines()[:4]] == digits
+        code, doc, _ = run_json(capsys, "bijection", "--sizes", "1")
+        assert code == 0
+        fields = ("option_sequences", "distinct_decodes",
+                  "circular_parking_sequences", "linear_parking_sequences")
+        assert [doc[f] for f in fields] == digits
 
     @pytest.mark.parametrize("command", ["verify", "bijection"])
     def test_refusal_names_a_domain_past_the_digit_limit(self, capsys, command):
@@ -397,6 +444,43 @@ class TestProcessLevel:
     def test_seed_is_mandatory(self):
         proc = self.run("sample", "--sizes", "2,2", "--count", "1")
         assert proc.returncode == 2
+
+    SAMPLE = ["sample", "--sizes", "2,1,3", "--count", "100000", "--seed", "7"]
+
+    @pytest.mark.parametrize(
+        "argv, keep, exit_code",
+        [
+            (SAMPLE, "line", 0),
+            (SAMPLE + ["--json"], 64, 0),
+            (["count", "--sizes", "2,2,1"], 0, 0),
+            (["simulate", "--sizes", "2,2,2", "--prefs", "3,2,1"], 0, 1),
+        ],
+        ids=["sample", "sample-json", "count-unread", "collision-unread"],
+    )
+    def test_reader_that_stops_early_gets_no_traceback(self, argv, keep, exit_code):
+        # `parkseq sample ... | head -1`: far more output than a pipe
+        # buffers, and the reader closes its end after the first line (the
+        # --json document is one line, so after 64 bytes); `parkseq count
+        # | true`: the reader is gone before the output is flushed, and a
+        # failure to park still exits 1. stdout is block-buffered, as it
+        # is from a shell.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parkseq", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": SRC},
+        )
+        first = proc.stdout.readline() if keep == "line" else proc.stdout.read(keep)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == exit_code
+        assert err == b""
+        if keep == "line":
+            draw = PrefSequence(tuple(map(int, first.split(b","))), "linear")
+            assert is_parking_sequence(SizeVector((2, 1, 3)), draw)
+        elif keep:
+            assert first.startswith(b'{"command": "sample", "sizes": [2, 1, 3]')
 
     @pytest.mark.parametrize("module", ["parkseq", "parkseq.cli"])
     def test_usage_error_exit_code_reaches_the_shell(self, module):

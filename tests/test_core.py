@@ -18,10 +18,12 @@ from parkseq import (
     is_classical_parking_function,
     is_parking_sequence,
     options_for_car,
+    rotate,
     simulate_circular,
     simulate_linear,
 )
 from conftest import naive_simulate
+from parkseq.core import _layout_of, _prefs_of
 
 SIMULATE = {"linear": simulate_linear, "circular": simulate_circular}
 
@@ -100,6 +102,20 @@ class TestInputContract:
             sv.total = 6
 
 
+def test_trusted_construction_equals_the_public_one():
+    sizes = SizeVector((2, 1))
+    built = [
+        (_prefs_of((3, 1), "circular"), PrefSequence((3, 1), "circular")),
+        (_layout_of(sizes, (3, 1), "linear"), Layout(sizes, (3, 1))),
+    ]
+    for trusted, public in built:
+        assert type(trusted) is type(public)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert repr(trusted) == repr(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.flavor = "circular"
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -113,6 +129,7 @@ class TestInputContract:
         lambda: decode(SizeVector((1, 1)), OptionSequence(1, ("direct",))),
         lambda: options_for_car(SizeVector((1, 1, 1)), 1),
         lambda: options_for_car(SizeVector((1, 1, 1)), 4),
+        lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 4), "circular"), 1.5),
     ],
     ids=[
         "unknown-flavor",
@@ -125,6 +142,7 @@ class TestInputContract:
         "unknown-car-option",
         "car-index-below-2",
         "car-index-above-n",
+        "float-rotation",
     ],
 )
 def test_public_constructors_raise_value_error(build):
