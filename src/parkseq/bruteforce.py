@@ -23,7 +23,7 @@ from typing import Collection, Iterator
 
 from .core import Flavor, PrefSequence, SizeVector
 from .counting import _decimal, count_circular, count_linear
-from .divider import decode, enumerate_option_sequences
+from .divider import _decode, _option_codes
 
 DEFAULT_BUDGET = 10**8
 
@@ -295,8 +295,10 @@ def bijection_checks(
     Checks decode validity, injectivity, image = circular parking set =
     formula count, the spot-M-empty restriction against the linear
     parking set, and closure of the circular set under all M rotations.
-    Both parking sets come from one walk each over the parked prefixes
-    (`_parking_states`). The circular walk is also decode's witness: it
+    Every option sequence is decoded as its integer codes by the divider
+    core (`_option_codes`, `_decode`), which `decode` shares. Both parking
+    sets come from one walk each over the parked prefixes
+    (`_parking_states`). The circular walk is also the core's witness: it
     parks every circular parking sequence with the bitmask step, and a
     decoded sequence is valid when the walk parked those preferences at
     exactly the decoded starts. A circular sequence leaves spot M empty
@@ -314,14 +316,15 @@ def bijection_checks(
             restricted.add(prefs)
     linear_set = {prefs for prefs, _, _ in _parking_states(sizes, "linear")}
 
+    prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
     total = 0
     decode_valid = True
     image: set[tuple[int, ...]] = set()
-    for opts in enumerate_option_sequences(sizes):
-        prefs, layout = decode(sizes, opts)
+    for codes in _option_codes(sizes):
+        prefs, starts = _decode(prefix, codes)
         total += 1
-        image.add(prefs.prefs)
-        if circular.get(prefs.prefs) != layout.starts:
+        image.add(prefs)
+        if circular.get(prefs) != starts:
             decode_valid = False
 
     return BijectionReport(

@@ -38,6 +38,7 @@ def simulate_circular(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
 
 def rotate(sizes: SizeVector, prefs: PrefSequence, a: int) -> PrefSequence:
     """Add `a` to every preference modulo M, mapped back into [1, M]."""
+    _check_prefs(sizes, prefs, "circular")
     m = sizes.circle_size
     return PrefSequence(
         tuple(wrap_spot(c + a, m) for c in prefs.prefs), "circular"

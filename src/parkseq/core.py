@@ -115,34 +115,6 @@ class PastEnd:
 ParkResult = Union[Parked, Collision, PastEnd]
 
 
-def _prefs_of(prefs: tuple[int, ...], flavor: Flavor) -> PrefSequence:
-    """A PrefSequence built without validation, for internal code whose
-    tuple of positive ints it has just computed itself. Callers outside
-    the package use the validating constructor.
-
-    The fields go straight into the instance dict, which a frozen
-    dataclass allows; that takes half the time of object.__setattr__.
-    """
-    seq = object.__new__(PrefSequence)
-    fields = seq.__dict__
-    fields["prefs"] = prefs
-    fields["flavor"] = flavor
-    return seq
-
-
-def _layout_of(
-    sizes: SizeVector, starts: tuple[int, ...], flavor: Flavor
-) -> Layout:
-    """A Layout built without validation, for internal code that computed
-    exactly one start per car of `sizes` (see `_prefs_of`)."""
-    layout = object.__new__(Layout)
-    fields = layout.__dict__
-    fields["sizes"] = sizes
-    fields["starts"] = starts
-    fields["flavor"] = flavor
-    return layout
-
-
 def _check_prefs(sizes: SizeVector, prefs: PrefSequence, flavor: Flavor) -> None:
     if prefs.flavor != flavor:
         raise ValueError(f"expected {flavor} preferences, got {prefs.flavor}")

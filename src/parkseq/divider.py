@@ -12,13 +12,16 @@ counted by the circular product formula; decoding them is a bijection onto
 circular parking sequences (injectivity plus matching cardinality, both
 checked exhaustively in the tests).
 
-The choices of car i are numbered 0 .. option_count(sizes, i) - 1 by
-option_at: direct picks first, then cruise targets in (car, offset)
-order. The samplers draw the anchor and then one integer per car, each
-uniform over its option_count, and map it to its option; no option list
-is built. The linear draw is the decoded circular draw shifted so its
-empty spot lands on M; nothing is simulated, and the tests check the
-shift against rotate + restrict_to_linear.
+So an option sequence is one integer code per car: code r of car i is
+option r of options_for_car(sizes, i), direct picks first, then cruise
+targets in (car, offset) order. One private core, `_decode`, works on
+the codes. The samplers draw the anchor and then one code per car, each
+uniform over its option_count, and decode the codes directly; no option
+object is built. `decode` checks an OptionSequence and turns it into
+codes; `bruteforce.bijection_checks` enumerates the codes. The linear
+draw is the decoded circular draw shifted so its empty spot lands on M;
+nothing is simulated, and the tests check the shift against rotate +
+restrict_to_linear.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from random import Random
 from typing import Iterator, Sequence, Union
 
 from .circular import empty_spot, wrap_spot
-from .core import Layout, PrefSequence, SizeVector, _layout_of, _prefs_of
+from .core import Layout, PrefSequence, SizeVector
 from .counting import option_count
 
 
@@ -66,107 +69,108 @@ class OptionSequence:
         object.__setattr__(self, "options", tuple(self.options))
 
 
-def decode(
-    sizes: SizeVector, opts: OptionSequence
-) -> tuple[PrefSequence, Layout]:
-    """Turn an option sequence into a circular parking sequence and its layout.
-
-    Parking the returned preferences puts every car in exactly the
-    returned layout; `bruteforce.bijection_checks` checks that against
-    the starts its circular walk parks each sequence at. The option
-    sequence is validated; the returned objects are built unvalidated.
+def _decode(
+    prefix: Sequence[int], codes: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divider on integer codes: the (preferences, starts) of the
+    option sequence codes = (anchor, r_2, ..., r_n), where prefix[k] =
+    y_1 + ... + y_k. Car i's code r picks the (r + 1)-th open cell when
+    r < n + 2 - i, and else cruises on spot r - (n + 2 - i) of the cars
+    before i, counted in (car, offset) order. Nothing is checked.
     """
-    n = sizes.n
-    m = sizes.circle_size
-    if not 1 <= opts.anchor <= m:
-        raise ValueError(f"anchor {opts.anchor} outside [1, {m}]")
-    if len(opts.options) != n - 1:
-        raise ValueError(f"expected {n - 1} car options, got {len(opts.options)}")
-
+    n = len(prefix) - 1
+    m = prefix[n] + 1
     # cells[p] holds the car index in cell p, or 0 if the cell is open;
     # cell 0 is car 1's cell, and cells are ordered clockwise. open_cells
     # lists the open cells in increasing order; cell 0 is never open.
-    cells = [0] * (n + 1)
-    cells[0] = 1
-    cell_of = [0] * (n + 1)
+    cells = [1] + [0] * n
+    cell_of = [0] * n
     open_cells = list(range(1, n + 1))
+    # car i prefers spot aim[i-1][1] (0-based) of car aim[i-1][0]'s block:
+    # a direct pick, like car 1, prefers the first spot of its own block
+    aim = [(car, 0) for car in range(n)]
 
-    for i, opt in enumerate(opts.options, start=2):
-        if isinstance(opt, Direct):
-            if not 1 <= opt.interval <= len(open_cells):
-                raise ValueError(
-                    f"car {i}: interval {opt.interval} outside "
-                    f"[1, {len(open_cells)}]"
-                )
-            p = open_cells.pop(opt.interval - 1)
-        elif isinstance(opt, Cruise):
-            if not 1 <= opt.car < i:
-                raise ValueError(f"car {i}: cruise target {opt.car} not yet parked")
-            if not 1 <= opt.offset <= sizes.sizes[opt.car - 1]:
-                raise ValueError(
-                    f"car {i}: cruise offset {opt.offset} outside "
-                    f"[1, {sizes.sizes[opt.car - 1]}]"
-                )
-            # the next open cell clockwise after the target's cell
-            k = bisect_left(open_cells, cell_of[opt.car])
-            p = open_cells.pop(k if k < len(open_cells) else 0)
+    for i in range(2, n + 1):
+        r = codes[i - 1]
+        direct = n + 2 - i
+        if r < direct:
+            p = open_cells.pop(r)
         else:
-            raise ValueError(f"car {i}: unknown option {opt!r}")
+            r -= direct
+            j = bisect_right(prefix, r) - 1  # the 0-based car holding spot r
+            aim[i - 1] = (j, r - prefix[j])
+            # the next open cell clockwise after the target's cell
+            k = bisect_left(open_cells, cell_of[j])
+            p = open_cells.pop(k if k < len(open_cells) else 0)
         cells[p] = i
-        cell_of[i] = p
+        cell_of[i - 1] = p
 
     # Collapse the dividers: walk clockwise from car 1's cell at the anchor
     # spot; a car cell spans its size, the lone open cell spans one spot.
     # Spots stay in [1, M] and sizes below M, so one subtraction wraps.
     starts = [0] * n
-    spot = opts.anchor
+    spot = codes[0]
     for car in cells:
         if car == 0:
             spot += 1
         else:
             starts[car - 1] = spot
-            spot += sizes.sizes[car - 1]
+            spot += prefix[car] - prefix[car - 1]
         if spot > m:
             spot -= m
-
-    prefs = [0] * n
-    prefs[0] = opts.anchor
-    for i, opt in enumerate(opts.options, start=2):
-        if isinstance(opt, Direct):
-            prefs[i - 1] = starts[i - 1]
-        else:
-            # offset k in [1, y_j] points at the k-th spot of car j's block
-            c = starts[opt.car - 1] + opt.offset - 1
-            prefs[i - 1] = c - m if c > m else c
-
-    return (
-        _prefs_of(tuple(prefs), "circular"),
-        _layout_of(sizes, tuple(starts), "circular"),
-    )
+    return tuple((starts[j] + k - 1) % m + 1 for j, k in aim), tuple(starts)
 
 
-def option_at(prefix: Sequence[int], i: int, r: int) -> CarOption:
-    """Option number r of car i >= 2, where prefix[k] = y_1 + ... + y_{k+1}.
+def decode(
+    sizes: SizeVector, opts: OptionSequence
+) -> tuple[PrefSequence, Layout]:
+    """Turn an option sequence into a circular parking sequence and its layout.
 
-    The n + 2 - i direct interval picks come first, then the cruise
-    targets in (car, offset) order, so r ranges over
-    0 .. n + 1 - i + prefix[i - 2].
+    One pass checks each option and turns it into its code, its index in
+    `options_for_car`; `_decode` does the rest. Parking the returned
+    preferences puts every car in exactly the returned layout;
+    `bruteforce.bijection_checks` checks that on every code sequence
+    against the starts its circular walk parks each sequence at.
     """
-    direct = len(prefix) + 2 - i
-    if r < direct:
-        return Direct(r + 1)
-    r -= direct
-    j = bisect_right(prefix, r)  # cars 1..j end at or before r
-    start = prefix[j - 1] if j else 0
-    return Cruise(j + 1, r - start + 1)
+    n, ys = sizes.n, sizes.sizes
+    if not (isinstance(opts.anchor, int) and 1 <= opts.anchor <= sizes.circle_size):
+        raise ValueError(f"anchor {opts.anchor} outside [1, {sizes.circle_size}]")
+    if len(opts.options) != n - 1:
+        raise ValueError(f"expected {n - 1} car options, got {len(opts.options)}")
+
+    prefix = tuple(itertools.accumulate(ys, initial=0))
+    codes = [opts.anchor]
+    for i, opt in enumerate(opts.options, start=2):
+        direct = n + 2 - i
+        if isinstance(opt, Direct):
+            t = opt.interval
+            if not (isinstance(t, int) and 1 <= t <= direct):
+                raise ValueError(f"car {i}: interval {t} outside [1, {direct}]")
+            codes.append(t - 1)
+        elif isinstance(opt, Cruise):
+            j, k = opt.car, opt.offset
+            if not (isinstance(j, int) and 1 <= j < i):
+                raise ValueError(f"car {i}: cruise target {j} not yet parked")
+            if not (isinstance(k, int) and 1 <= k <= ys[j - 1]):
+                raise ValueError(f"car {i}: cruise offset {k} outside [1, {ys[j - 1]}]")
+            codes.append(direct + prefix[j - 1] + k - 1)
+        else:
+            raise ValueError(f"car {i}: unknown option {opt!r}")
+
+    prefs, starts = _decode(prefix, codes)
+    return PrefSequence(prefs, "circular"), Layout(sizes, starts, "circular")
 
 
 def options_for_car(sizes: SizeVector, i: int) -> list[CarOption]:
-    """All valid choices for car i >= 2, in option_at order."""
+    """All valid choices for car i >= 2: the n + 2 - i direct interval
+    picks, then the cruise targets in (car, offset) order. Option r is
+    what code r means to `_decode`."""
     if not 2 <= i <= sizes.n:
         raise ValueError(f"car index {i} outside [2, {sizes.n}]")
-    prefix = list(itertools.accumulate(sizes.sizes))
-    return [option_at(prefix, i, r) for r in range(option_count(sizes, i))]
+    direct = [Direct(t) for t in range(1, sizes.n + 3 - i)]
+    return direct + [
+        Cruise(j, k) for j in range(1, i) for k in range(1, sizes.sizes[j - 1] + 1)
+    ]
 
 
 def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
@@ -180,17 +184,20 @@ def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
             yield OptionSequence(anchor, combo)
 
 
-def _sample_decoded(
-    sizes: SizeVector, rng: Random
-) -> tuple[PrefSequence, Layout]:
+def _option_codes(sizes: SizeVector) -> Iterator[tuple[int, ...]]:
+    """Every option sequence as (anchor, code of car 2, ..., code of car
+    n), in the order of `enumerate_option_sequences`."""
+    cars = [range(option_count(sizes, i)) for i in range(2, sizes.n + 1)]
+    return itertools.product(range(1, sizes.circle_size + 1), *cars)
+
+
+def _draw(sizes: SizeVector, rng: Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Decode the anchor and one code per car, each drawn uniformly."""
     n = sizes.n
-    anchor = rng.randrange(1, sizes.circle_size + 1)
-    prefix = list(itertools.accumulate(sizes.sizes))
-    options = [
-        option_at(prefix, i, rng.randrange(n + 2 - i + prefix[i - 2]))
-        for i in range(2, n + 1)
-    ]
-    return decode(sizes, OptionSequence(anchor, options))
+    prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
+    codes = [rng.randrange(1, sizes.circle_size + 1)]
+    codes += [rng.randrange(n + 2 - i + prefix[i - 1]) for i in range(2, n + 1)]
+    return _decode(prefix, codes)
 
 
 def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
@@ -199,8 +206,8 @@ def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
     The anchor and each car's option number are drawn independently and
     uniformly; decode is injective, so all outputs have equal probability.
     """
-    prefs, _ = _sample_decoded(sizes, rng)
-    return prefs
+    prefs, _ = _draw(sizes, rng)
+    return PrefSequence(prefs, "circular")
 
 
 def sample_linear(sizes: SizeVector, rng: Random) -> PrefSequence:
@@ -210,6 +217,6 @@ def sample_linear(sizes: SizeVector, rng: Random) -> PrefSequence:
     the unique such representative of its rotation orbit; orbits all have
     size M, so uniformity is preserved. Nothing is parked again.
     """
-    prefs, layout = _sample_decoded(sizes, rng)
-    e, m = empty_spot(layout), sizes.circle_size
-    return PrefSequence(tuple(wrap_spot(c - e, m) for c in prefs.prefs), "linear")
+    prefs, starts = _draw(sizes, rng)
+    e, m = empty_spot(Layout(sizes, starts, "circular")), sizes.circle_size
+    return PrefSequence(tuple(wrap_spot(c - e, m) for c in prefs), "linear")

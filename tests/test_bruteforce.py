@@ -9,7 +9,6 @@ import parkseq
 import parkseq.bruteforce
 from parkseq import (
     BudgetExceededError,
-    Layout,
     Parked,
     PrefSequence,
     SizeVector,
@@ -32,6 +31,7 @@ from parkseq.bruteforce import (
     _tally,
     bijection_checks,
 )
+from parkseq.divider import _decode, _option_codes
 from conftest import (
     naive_free_spots,
     naive_parking_set,
@@ -336,17 +336,17 @@ WITNESS_CASES = [(1, 2), (2, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]
 
 
 def report_with_first_decode(monkeypatch, sizes, corrupt):
-    """bijection_checks with the first decoded (prefs, layout) pair
-    replaced by corrupt(prefs, layout)."""
+    """bijection_checks with the first (prefs, starts) pair the divider
+    core decodes replaced by corrupt(prefs, starts)."""
     calls = 0
 
-    def patched(sizes, opts):
+    def patched(*args):
         nonlocal calls
         calls += 1
-        prefs, layout = decode(sizes, opts)
-        return corrupt(prefs, layout) if calls == 1 else (prefs, layout)
+        prefs, starts = _decode(*args)
+        return corrupt(prefs, starts) if calls == 1 else (prefs, starts)
 
-    monkeypatch.setattr(parkseq.bruteforce, "decode", patched)
+    monkeypatch.setattr(parkseq.bruteforce, "_decode", patched)
     return bijection_checks(sizes)
 
 
@@ -355,9 +355,8 @@ def test_decode_witness_sees_a_moved_start(monkeypatch, comp):
     sizes = SizeVector(comp)
     m = sizes.circle_size
 
-    def move_first_start(prefs, layout):
-        starts = (layout.starts[0] % m + 1,) + layout.starts[1:]
-        return prefs, Layout(sizes, starts, "circular")
+    def move_first_start(prefs, starts):
+        return prefs, (starts[0] % m + 1,) + starts[1:]
 
     report = report_with_first_decode(monkeypatch, sizes, move_first_start)
     assert not report.decode_valid
@@ -370,8 +369,7 @@ def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
     domain = itertools.product(range(1, sizes.circle_size + 1), repeat=sizes.n)
     stray = min(set(domain) - naive_parking_set(sizes, "circular"))
     report = report_with_first_decode(
-        monkeypatch, sizes,
-        lambda prefs, layout: (PrefSequence(stray, "circular"), layout),
+        monkeypatch, sizes, lambda prefs, starts: (stray, starts)
     )
     assert not report.decode_valid
     assert not report.image_equals_circular_set
@@ -381,8 +379,8 @@ def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
 def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
     sizes = SizeVector(comp)
     monkeypatch.setattr(
-        parkseq.bruteforce, "enumerate_option_sequences",
-        lambda sizes: itertools.islice(enumerate_option_sequences(sizes), 1, None),
+        parkseq.bruteforce, "_option_codes",
+        lambda sizes: itertools.islice(_option_codes(sizes), 1, None),
     )
     report = bijection_checks(sizes)
     assert not (report.decode_injective and report.image_count_matches_formula)

@@ -418,11 +418,15 @@ class TestSample:
 class TestProcessLevel:
     """End-to-end through the interpreter, exercising argparse's own exits."""
 
+    # The children import this checkout and block-buffer their stdout, as
+    # they do from a shell, whatever PYTHONUNBUFFERED the tests inherit.
+    ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    ENV["PYTHONPATH"] = SRC
+
     def run(self, *argv, module="parkseq"):
         return subprocess.run(
             [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, env=self.ENV,
         )
 
     def test_missing_required_flag(self):
@@ -462,13 +466,10 @@ class TestProcessLevel:
         # buffers, and the reader closes its end after the first line (the
         # --json document is one line, so after 64 bytes); `parkseq count
         # | true`: the reader is gone before the output is flushed, and a
-        # failure to park still exits 1. stdout is block-buffered, as it
-        # is from a shell.
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        # failure to park still exits 1.
         proc = subprocess.Popen(
             [sys.executable, "-m", "parkseq", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**env, "PYTHONPATH": SRC},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV,
         )
         first = proc.stdout.readline() if keep == "line" else proc.stdout.read(keep)
         proc.stdout.close()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from parkseq import (
     Collision,
+    Cruise,
+    Direct,
     Layout,
     OptionSequence,
     Parked,
@@ -23,7 +25,6 @@ from parkseq import (
     simulate_linear,
 )
 from conftest import naive_simulate
-from parkseq.core import _layout_of, _prefs_of
 
 SIMULATE = {"linear": simulate_linear, "circular": simulate_circular}
 
@@ -102,20 +103,6 @@ class TestInputContract:
             sv.total = 6
 
 
-def test_trusted_construction_equals_the_public_one():
-    sizes = SizeVector((2, 1))
-    built = [
-        (_prefs_of((3, 1), "circular"), PrefSequence((3, 1), "circular")),
-        (_layout_of(sizes, (3, 1), "linear"), Layout(sizes, (3, 1))),
-    ]
-    for trusted, public in built:
-        assert type(trusted) is type(public)
-        assert trusted == public and hash(trusted) == hash(public)
-        assert repr(trusted) == repr(public)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            trusted.flavor = "circular"
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -130,6 +117,13 @@ def test_trusted_construction_equals_the_public_one():
         lambda: options_for_car(SizeVector((1, 1, 1)), 1),
         lambda: options_for_car(SizeVector((1, 1, 1)), 4),
         lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 4), "circular"), 1.5),
+        lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 2), "linear"), 1),
+        lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 2, 3), "circular"), 1),
+        lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 6), "circular"), 1),
+        lambda: decode(SizeVector((2, 2)), OptionSequence(1.5, (Direct(1),))),
+        lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Direct(1.0),))),
+        lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Cruise(1.0, 1),))),
+        lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Cruise(1, 1.5),))),
     ],
     ids=[
         "unknown-flavor",
@@ -143,6 +137,13 @@ def test_trusted_construction_equals_the_public_one():
         "car-index-below-2",
         "car-index-above-n",
         "float-rotation",
+        "linear-rotation",
+        "too-long-rotation",
+        "out-of-range-rotation",
+        "float-anchor",
+        "float-interval",
+        "float-cruise-car",
+        "float-cruise-offset",
     ],
 )
 def test_public_constructors_raise_value_error(build):

@@ -32,7 +32,7 @@ from parkseq import (
     simulate_linear,
 )
 from parkseq.cli import main
-from parkseq.divider import option_at
+from parkseq.divider import _decode, _option_codes
 from conftest import naive_free_spots, naive_parking_set, naive_simulate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_streams.json")
@@ -94,15 +94,33 @@ class TestOptionEnumeration:
         ]
         return direct + cruise
 
-    def test_option_at_follows_the_literal_order(self):
+    def test_options_for_car_follows_the_literal_order(self):
         for comp in compositions(5, 10):
             sizes = SizeVector(comp)
-            prefix = list(itertools.accumulate(comp))
             for i in range(2, sizes.n + 1):
                 literal = self.literal_options(sizes, i)
                 assert len(literal) == option_count(sizes, i)
-                assert [option_at(prefix, i, r) for r in range(len(literal))] == literal
                 assert options_for_car(sizes, i) == literal
+
+    @pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
+    def test_code_r_decodes_like_option_r(self, comp):
+        # code r of car i means options_for_car(sizes, i)[r]: the codes
+        # and the option sequences are enumerated in the same order, the
+        # core on the codes gives what decode gives on the options, and
+        # each preference is the spot its option names
+        sizes = SizeVector(comp)
+        prefix = tuple(itertools.accumulate(comp, initial=0))
+        options = enumerate_option_sequences(sizes)
+        for codes, opts in zip(_option_codes(sizes), options, strict=True):
+            assert codes[0] == opts.anchor
+            prefs, starts = _decode(prefix, codes)
+            public, layout = decode(sizes, opts)
+            assert (prefs, starts) == (public.prefs, layout.starts)
+            for i, opt in enumerate(opts.options, start=2):
+                if isinstance(opt, Direct):
+                    assert prefs[i - 1] == starts[i - 1]
+                else:
+                    assert prefs[i - 1] == layout.block(opt.car)[opt.offset - 1]
 
     def test_per_car_choice_counts(self):
         sizes = SizeVector((2, 5, 1, 3, 2))
