@@ -7,11 +7,12 @@ of materializing each tuple (a failed prefix fails every extension the
 same way, and distinct prefixes with equal occupancy behave identically
 from then on), which gives per-tuple-exact tallies without per-tuple work.
 Within a state, preferences are grouped by the free spot they cruise to,
-so each state costs its number of free spots, not the lot size.
+so each state costs its number of free spots, not the lot size, each one
+lookup in a block table built once per car.
 The tests cross-check it against a literal one-simulation-per-tuple loop.
 
 The parking sequences themselves are listed by a depth-first walk over
-the prefixes that parked, which takes the same bitmask step as the tally
+the prefixes that parked, which reads the tally's per-car block tables
 once per free spot and never extends a failed prefix.
 """
 
@@ -55,6 +56,8 @@ class EnumerationReport:
 
 
 def _check_budget(sizes: SizeVector, flavor: Flavor, budget: int) -> int:
+    if budget < 1:  # admits no instance, so it is a usage error, not a refusal
+        raise ValueError(f"budget must be >= 1, got {budget}")
     base = sizes.total if flavor == "linear" else sizes.circle_size
     required = base**sizes.n
     if required > budget:
@@ -62,25 +65,18 @@ def _check_budget(sizes: SizeVector, flavor: Flavor, budget: int) -> int:
     return base
 
 
-_PAST_END = -1
-_COLLISION = -2
-
-
-def _place(mask: int, j: int, size: int, base: int, wrap: bool) -> int:
-    """Park a car of `size` at the empty spot `j` of occupancy bitmask
-    `mask` (bit s-1 = spot s taken) of a lot of `base` spots; with `wrap`
-    the lot is a circle.
-
-    Returns the new mask, or _PAST_END / _COLLISION.
+def _blocks(size: int, base: int, wrap: bool) -> list[int]:
+    """The occupancy bitmask (bit s-1 = spot s) that a car of `size` covers
+    when it parks at spot j, as entry j, for a lot of `base` spots; with
+    `wrap` the lot is a circle and a block past spot `base` folds to spot 1.
+    On the line the entry is 0 where the car would run past the end.
     """
-    block = ((1 << size) - 1) << (j - 1)
-    if j - 1 + size > base:
-        if not wrap:
-            return _PAST_END
-        block = (block | block >> base) & ((1 << base) - 1)
-    if mask & block:
-        return _COLLISION
-    return mask | block
+    unit = (1 << size) - 1
+    full = (1 << base) - 1
+    return [0] + [  # entry k + 1: the block shifted k spots from spot 1
+        (unit << k | unit << k >> base) & full if wrap or k + size <= base else 0
+        for k in range(base)
+    ]
 
 
 def _tally(
@@ -92,21 +88,24 @@ def _tally(
     occupancy state they reach; counts are exact integers. A car's outcome
     depends only on the free spot its preference cruises to, and the
     preferences that reach free spot j are those in (previous free spot, j],
-    so each state costs one `_place` per free spot, weighted by
-    j - previous. On the circle the first free spot also takes the wrapped
-    trailing run; on the line the trailing run cruises past the end. The
-    first car meets an empty lot, where each preference in
-    [first_lo, first_hi] is its own free spot.
+    so each state costs one lookup in the car's block table (`_blocks`) per
+    free spot, weighted by j - previous. On the circle the first free spot
+    also takes the wrapped trailing run; on the line the trailing run
+    cruises past the end. The first car meets an empty lot, where each
+    preference in [first_lo, first_hi] is its own free spot. Failed reach
+    is weighted by the later cars' choices once per depth.
     """
     n = sizes.n
     wrap = flavor == "circular"
     base = sizes.circle_size if wrap else sizes.total
     full = (1 << base) - 1
 
-    collisions = past_end = 0
+    parked = collisions = past_end = 0
     states: dict[int, int] = {0: 1}
     for depth, size in enumerate(sizes.sizes):
-        weight = base ** (n - depth - 1)
+        blocks = _blocks(size, base, wrap)
+        last_car = depth == n - 1
+        collided = ended = 0
         nxt: dict[int, int] = {}
         for mask, count in states.items():
             if depth == 0:
@@ -119,22 +118,27 @@ def _tally(
                     prev = last - base
                 else:  # the run after the last free spot cruises past the end
                     prev = 0
-                    past_end += count * (base - last) * weight
+                    ended += count * (base - last)
             while free:
                 low = free & -free
                 free ^= low
                 j = low.bit_length()
                 reach = count * (j - prev)
                 prev = j
-                outcome = _place(mask, j, size, base, wrap)
-                if outcome == _PAST_END:
-                    past_end += reach * weight
-                elif outcome == _COLLISION:
-                    collisions += reach * weight
+                block = blocks[j]
+                if not block:
+                    ended += reach
+                elif mask & block:
+                    collided += reach
+                elif last_car:
+                    parked += reach
                 else:
-                    nxt[outcome] = nxt.get(outcome, 0) + reach
+                    block |= mask
+                    nxt[block] = nxt.get(block, 0) + reach
+        weight = base ** (n - depth - 1)
+        collisions += collided * weight
+        past_end += ended * weight
         states = nxt
-    parked = sum(states.values())
     return parked, collisions, past_end
 
 
@@ -188,15 +192,16 @@ def _parking_states(
     it cruises to, which is where it parks: those in (previous free spot,
     j] reach free spot j, and the run after the last free spot cruises
     past the end on the line and to the first free spot on the circle. So
-    a prefix costs one `_place` per free spot, the step `_tally` takes,
-    and the children that park at one spot share one starts tuple.
-    Children are pushed from high to low, so the lowest is popped first.
+    a prefix costs one lookup per free spot in the block table `_tally`
+    reads (`_blocks`), and the children that park at one spot share one
+    starts tuple. Children are pushed from high to low, so the lowest is
+    popped first.
     """
     wrap = flavor == "circular"
     base = sizes.circle_size if wrap else sizes.total
     full = (1 << base) - 1
-    ys = sizes.sizes
-    n = len(ys)
+    tables = [_blocks(size, base, wrap) for size in sizes.sizes]
+    n = len(tables)
     stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
     while stack:
         prefix, starts, mask = stack.pop()
@@ -204,26 +209,23 @@ def _parking_states(
         if depth == n:
             yield prefix, starts, mask
             continue
-        size = ys[depth]
+        blocks = tables[depth]
         free = full & ~mask
-        if wrap:
+        if wrap:  # the trailing run wraps to the first free spot
             first = (free & -free).bit_length()
-            wrapped = _place(mask, first, size, base, wrap)
-            if wrapped >= 0:
+            block = blocks[first]
+            if not mask & block:
                 parked = starts + (first,)
                 for c in range(base, free.bit_length(), -1):
-                    stack.append((prefix + (c,), parked, wrapped))
+                    stack.append((prefix + (c,), parked, mask | block))
         while free:
             j = free.bit_length()
             free ^= 1 << (j - 1)
-            if wrap and not free:  # j is the first free spot
-                outcome = wrapped
-            else:
-                outcome = _place(mask, j, size, base, wrap)
-            if outcome >= 0:
+            block = blocks[j]
+            if block and not mask & block:
                 parked = starts + (j,)
                 for c in range(j, free.bit_length(), -1):
-                    stack.append((prefix + (c,), parked, outcome))
+                    stack.append((prefix + (c,), parked, mask | block))
 
 
 def enumerate_parking_sequences(
@@ -299,7 +301,7 @@ def bijection_checks(
     core (`_option_codes`, `_decode`), which `decode` shares. Both parking
     sets come from one walk each over the parked prefixes
     (`_parking_states`). The circular walk is also the core's witness: it
-    parks every circular parking sequence with the bitmask step, and a
+    parks every circular parking sequence with the block tables, and a
     decoded sequence is valid when the walk parked those preferences at
     exactly the decoded starts. A circular sequence leaves spot M empty
     exactly when its final occupancy is spots 1..T.

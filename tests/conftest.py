@@ -16,7 +16,7 @@ from parkseq import (
 
 def naive_simulate(sizes: SizeVector, prefs: PrefSequence, flavor: str):
     """The parking rule spot by spot on a bytearray, the literal reference
-    the run-list kernel and the oracle's bitmask step are checked against.
+    the run-list kernel and the oracle's block tables are checked against.
     Preferences are taken as valid."""
     starts: list[int] = []
     if flavor == "linear":

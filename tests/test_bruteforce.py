@@ -26,6 +26,7 @@ from parkseq import (
 )
 from parkseq.bruteforce import (
     BijectionReport,
+    _blocks,
     _parking_states,
     _rotation_closed,
     _tally,
@@ -112,6 +113,39 @@ def test_tally_matches_prefix_reference(case):
     assert _tally(sizes, flavor, lo, hi) == naive_prefix_tally(sizes, flavor, lo, hi)
 
 
+@pytest.mark.parametrize("wrap", [False, True])
+def test_blocks_cover_the_spots_a_parked_car_takes(wrap):
+    # the spot-by-spot definition of where a car of `size` parked at j sits
+    for base in range(1, 10):
+        for size in range(1, base + 1):
+            blocks = _blocks(size, base, wrap)
+            assert len(blocks) == base + 1
+            for j in range(1, base + 1):
+                spots = {s for s in range(1, base + 1) if blocks[j] >> (s - 1) & 1}
+                assert blocks[j] >> base == 0
+                if wrap:
+                    assert spots == {(j - 1 + k) % base + 1 for k in range(size)}
+                elif j - 1 + size > base:
+                    assert blocks[j] == 0
+                else:
+                    assert spots == set(range(j, j + size))
+
+
+# the edge of the benchmark's oracle sweep (n = 6, T = 12), past the reach
+# of the hypothesis test above
+@pytest.mark.parametrize("flavor", ["linear", "circular"])
+@pytest.mark.parametrize(
+    "comp", [(2,) * 6, (7, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 7), (1, 2, 3, 1, 2, 3)],
+    ids=str,
+)
+def test_tally_at_the_oracle_edge(comp, flavor):
+    sizes = SizeVector(comp)
+    base = sizes.total if flavor == "linear" else sizes.circle_size
+    for lo, hi in ((1, base), (1, base // 2), (base // 2 + 1, base)):
+        assert _tally(sizes, flavor, lo, hi) == \
+            naive_prefix_tally(sizes, flavor, lo, hi)
+
+
 class TestVerify:
     def test_circular_two_by_two(self):
         report = verify(SizeVector((2, 2)), "circular")
@@ -154,6 +188,12 @@ class TestVerify:
         assert exc_info.value.sizes.sizes == (5,) * 8
         assert str(40**8) in str(exc_info.value)  # required budget reported
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_value_error(self, budget):
+        # it admits no instance, not even a single unit car
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            verify(SizeVector((1,)), budget=budget)
+
     def test_bad_partitions(self):
         with pytest.raises(ValueError):
             verify(SizeVector((2,)), partitions=0)
@@ -176,6 +216,11 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError):
             next(enumerate_parking_sequences(SizeVector((2, 2)), budget=10))
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_value_error(self, budget):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            next(enumerate_parking_sequences(SizeVector((1,)), budget=budget))
+
     @pytest.mark.parametrize("flavor", ["linear", "circular"])
     @pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
     def test_matches_literal_parking_set_in_order(self, comp, flavor):
@@ -193,20 +238,23 @@ class TestEnumerate:
             assert len(seqs) == len(naive_parking_set(sizes, flavor))
 
     def test_fewer_steps_than_sequences(self, monkeypatch):
-        # a prefix costs one bitmask step per free spot, shared by all its
-        # extensions, so the walk takes fewer steps than it yields sequences
-        place = parkseq.bruteforce._place
+        # a prefix costs one block-table lookup per free spot, shared by all
+        # its extensions, so the walk takes fewer steps than it yields
+        # sequences
+        blocks = parkseq.bruteforce._blocks
         calls = 0
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return place(*args)
+        class Counting(list):
+            def __getitem__(self, j):
+                nonlocal calls
+                calls += 1
+                return super().__getitem__(j)
 
-        monkeypatch.setattr(parkseq.bruteforce, "_place", counting)
+        monkeypatch.setattr(parkseq.bruteforce, "_blocks",
+                            lambda *args: Counting(blocks(*args)))
         yielded = sum(1 for _ in enumerate_parking_sequences(SizeVector((1,) * 7)))
         assert yielded == 8**6
-        assert calls < yielded
+        assert 0 < calls < yielded
 
 
 class TestSweep:
@@ -263,6 +311,12 @@ def test_bijection_checks_counts():
 def test_bijection_checks_budget():
     with pytest.raises(BudgetExceededError):
         bijection_checks(SizeVector((5, 5, 5)), budget=10)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_bijection_checks_budget_below_one(budget):
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+        bijection_checks(SizeVector((1,)), budget=budget)
 
 
 def test_sweep_reports_match_circular_identity():

@@ -257,6 +257,17 @@ class TestVerify:
         assert out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("target", [("--sizes", "2,2"),
+                                        ("--max-cars", "2", "--max-total", "3")])
+    def test_budget_below_one_is_a_usage_error(self, capsys, target, budget):
+        # no such budget admits any instance, so it is no budget refusal
+        code, out, err = run_cli(capsys, "verify", *target, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"budget must be >= 1, got {budget}" in err
+
     def test_missing_bounds(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
@@ -313,6 +324,15 @@ class TestBijection:
                                "--budget", "3")
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        code, out, err = run_cli(capsys, "bijection", "--sizes", "2,2",
+                                 "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"budget must be >= 1, got {budget}" in err
 
     def test_check_names_in_order(self, capsys):
         _, doc, _ = run_json(capsys, "bijection", "--sizes", "2,1")
