@@ -10,6 +10,7 @@ Within a state, preferences are grouped by the free spot they cruise to,
 so each state costs its number of free spots, not the lot size, each one
 lookup in a block table built once per car.
 The tests cross-check it against a literal one-simulation-per-tuple loop.
+Each flavor's lot is read from `core._lot`, which refuses unknown ones.
 
 The parking sequences themselves are listed by a depth-first walk over
 the prefixes that parked, which reads the tally's per-car block tables
@@ -19,10 +20,10 @@ once per free spot and never extends a failed prefix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Collection, Iterator
 
-from .core import Flavor, PrefSequence, SizeVector
+from .core import Flavor, PrefSequence, SizeVector, _lot
 from .counting import _decimal, count_circular, count_linear
 from .divider import _decode, _option_codes
 
@@ -55,14 +56,15 @@ class EnumerationReport:
     match: bool
 
 
-def _check_budget(sizes: SizeVector, flavor: Flavor, budget: int) -> int:
+def _check_budget(sizes: SizeVector, flavor: Flavor, budget: int) -> tuple[int, bool]:
+    """The lot of `flavor` (`core._lot`), once its tuple domain fits the budget."""
+    base, wrap = _lot(sizes, flavor)
     if budget < 1:  # admits no instance, so it is a usage error, not a refusal
         raise ValueError(f"budget must be >= 1, got {budget}")
-    base = sizes.total if flavor == "linear" else sizes.circle_size
     required = base**sizes.n
     if required > budget:
         raise BudgetExceededError(sizes, flavor, required, budget)
-    return base
+    return base, wrap
 
 
 def _blocks(size: int, base: int, wrap: bool) -> list[int]:
@@ -92,12 +94,12 @@ def _tally(
     free spot, weighted by j - previous. On the circle the first free spot
     also takes the wrapped trailing run; on the line the trailing run
     cruises past the end. The first car meets an empty lot, where each
-    preference in [first_lo, first_hi] is its own free spot. Failed reach
-    is weighted by the later cars' choices once per depth.
+    preference in [first_lo, first_hi] is its own free spot, and the empty
+    range first_lo = first_hi + 1 tallies nothing. Failed reach is weighted
+    by the later cars' choices once per depth.
     """
     n = sizes.n
-    wrap = flavor == "circular"
-    base = sizes.circle_size if wrap else sizes.total
+    base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
 
     parked = collisions = past_end = 0
@@ -156,18 +158,11 @@ def verify(
     """
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
-    base = _check_budget(sizes, flavor, budget)
-    parked = collisions = past_end = 0
+    base, wrap = _check_budget(sizes, flavor, budget)
     bounds = [1 + (base * k) // partitions for k in range(partitions + 1)]
-    for k in range(partitions):
-        lo, hi = bounds[k], bounds[k + 1] - 1
-        if hi < lo:
-            continue
-        p, c, e = _tally(sizes, flavor, lo, hi)
-        parked += p
-        collisions += c
-        past_end += e
-    formula = count_linear(sizes) if flavor == "linear" else count_circular(sizes)
+    tallies = [_tally(sizes, flavor, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
+    parked, collisions, past_end = map(sum, zip(*tallies))
+    formula = count_circular(sizes) if wrap else count_linear(sizes)
     return EnumerationReport(
         sizes=sizes,
         flavor=flavor,
@@ -197,8 +192,7 @@ def _parking_states(
     starts tuple. Children are pushed from high to low, so the lowest is
     popped first.
     """
-    wrap = flavor == "circular"
-    base = sizes.circle_size if wrap else sizes.total
+    base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
     tables = [_blocks(size, base, wrap) for size in sizes.sizes]
     n = len(tables)
@@ -269,15 +263,14 @@ class BijectionReport:
     rotation_invariant: bool
 
     @property
+    def checks(self) -> dict[str, bool]:
+        """Every check by name, in field order: the fields that are bools."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v for name, v in values.items() if isinstance(v, bool)}
+
+    @property
     def all_pass(self) -> bool:
-        return (
-            self.decode_valid
-            and self.decode_injective
-            and self.image_equals_circular_set
-            and self.image_count_matches_formula
-            and self.restriction_matches_linear_set
-            and self.rotation_invariant
-        )
+        return all(self.checks.values())
 
 
 def _rotation_closed(tuples: Collection[tuple[int, ...]], m: int) -> bool:
@@ -306,8 +299,7 @@ def bijection_checks(
     exactly the decoded starts. A circular sequence leaves spot M empty
     exactly when its final occupancy is spots 1..T.
     """
-    _check_budget(sizes, "circular", budget)
-    m = sizes.circle_size
+    m, _ = _check_budget(sizes, "circular", budget)
 
     spot_m_empty = (1 << (m - 1)) - 1
     circular: dict[tuple[int, ...], tuple[int, ...]] = {}

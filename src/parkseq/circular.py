@@ -32,8 +32,7 @@ def simulate_circular(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
     At most T of the M = T + 1 spots are ever occupied, so every car finds
     an empty spot; Collision is the only failure mode.
     """
-    _check_prefs(sizes, prefs, "circular")
-    return _park(sizes, prefs, wrap=True)
+    return _park(sizes, prefs, *_check_prefs(sizes, prefs, "circular"))
 
 
 def rotate(sizes: SizeVector, prefs: PrefSequence, a: int) -> PrefSequence:

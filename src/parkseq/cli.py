@@ -17,7 +17,6 @@ as decimal strings so 64-bit-limited JSON readers cannot truncate them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -26,7 +25,6 @@ from typing import Sequence
 
 from .bruteforce import (
     DEFAULT_BUDGET,
-    BijectionReport,
     BudgetExceededError,
     EnumerationReport,
     bijection_checks,
@@ -186,8 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bijection(args: argparse.Namespace) -> int:
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
     report = bijection_checks(sizes, budget=args.budget)
-    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(BijectionReport)}
-    checks = {name: v for name, v in values.items() if isinstance(v, bool)}
+    checks = report.checks
     payload = {
         "command": "bijection",
         "sizes": list(sizes.sizes),

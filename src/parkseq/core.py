@@ -38,6 +38,16 @@ class SizeVector:
         object.__setattr__(self, "circle_size", self.total + 1)
 
 
+def _lot(sizes: SizeVector, flavor: str) -> tuple[int, bool]:
+    """The lot a flavor names, as (spots, wrap): the line of T spots or the
+    circle of M = T + 1. Every layer turns a flavor into a lot here."""
+    if flavor == "linear":
+        return sizes.total, False
+    if flavor == "circular":
+        return sizes.circle_size, True
+    raise ValueError(f"unknown flavor {flavor!r}")
+
+
 @dataclass(frozen=True)
 class PrefSequence:
     """A tuple of preferred spots (1-based), linear or circular flavor."""
@@ -73,15 +83,14 @@ class Layout:
         object.__setattr__(self, "starts", tuple(self.starts))
         if len(self.starts) != self.sizes.n:
             raise ValueError("one start per car required")
+        _lot(self.sizes, self.flavor)
 
     def block(self, car: int) -> tuple[int, ...]:
         """The spots occupied by `car` (1-based index), in driving order."""
         y = self.sizes.sizes[car - 1]
         s = self.starts[car - 1]
-        if self.flavor == "linear":
-            return tuple(range(s, s + y))
-        m = self.sizes.circle_size
-        return tuple((s - 1 + k) % m + 1 for k in range(y))
+        m, wrap = _lot(self.sizes, self.flavor)
+        return tuple((s - 1 + k) % m + 1 if wrap else s + k for k in range(y))
 
     def occupied(self) -> set[int]:
         spots: set[int] = set()
@@ -115,17 +124,21 @@ class PastEnd:
 ParkResult = Union[Parked, Collision, PastEnd]
 
 
-def _check_prefs(sizes: SizeVector, prefs: PrefSequence, flavor: Flavor) -> None:
+def _check_prefs(
+    sizes: SizeVector, prefs: PrefSequence, flavor: Flavor
+) -> tuple[int, bool]:
+    """Check `prefs` against the lot `flavor` names, and return that lot."""
     if prefs.flavor != flavor:
         raise ValueError(f"expected {flavor} preferences, got {prefs.flavor}")
     if len(prefs) != sizes.n:
         raise ValueError(
             f"preference count {len(prefs)} does not match car count {sizes.n}"
         )
-    limit = sizes.total if flavor == "linear" else sizes.circle_size
+    limit, wrap = _lot(sizes, flavor)
     for c in prefs.prefs:
         if not 1 <= c <= limit:
             raise ValueError(f"preference {c} outside [1, {limit}]")
+    return limit, wrap
 
 
 def _merge_run(lo: list[int], hi: list[int], k: int, a: int, b: int) -> None:
@@ -145,17 +158,16 @@ def _merge_run(lo: list[int], hi: list[int], k: int, a: int, b: int) -> None:
         hi.insert(k, b)
 
 
-def _park(sizes: SizeVector, prefs: PrefSequence, wrap: bool) -> ParkResult:
+def _park(sizes: SizeVector, prefs: PrefSequence, limit: int, wrap: bool) -> ParkResult:
     """The parking rule of both lots, on occupancy kept as runs.
 
     Spots lo[k]..hi[k] form the k-th maximal occupied run; the runs are
     sorted and no two touch, so there are at most n of them and each car
-    costs O(log n) bisects plus a list insert, whatever T is. Without
-    `wrap` the lot is the row of T spots; with it, the circle of M = T + 1
-    spots, where driving past M continues at spot 1. Runs are not merged
-    across M.
+    costs O(log n) bisects plus a list insert, whatever T is. The lot is
+    the one `_check_prefs` returns for prefs' flavor: `limit` spots, on a
+    row, or with `wrap` on a circle where driving past spot `limit`
+    continues at spot 1. Runs are not merged across the last spot.
     """
-    limit = sizes.circle_size if wrap else sizes.total
     lo: list[int] = []
     hi: list[int] = []
     starts: list[int] = []
@@ -180,7 +192,7 @@ def _park(sizes: SizeVector, prefs: PrefSequence, wrap: bool) -> ParkResult:
         else:
             _merge_run(lo, hi, k, j, end)
         starts.append(j)
-    return Parked(Layout(sizes, tuple(starts), "circular" if wrap else "linear"))
+    return Parked(Layout(sizes, tuple(starts), prefs.flavor))
 
 
 def simulate_linear(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
@@ -190,8 +202,7 @@ def simulate_linear(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
     It parks on [j, j + y_i - 1] when that block is free; a taken spot in
     [j+1, j+y_i-1] is a Collision, and running out of lot is PastEnd.
     """
-    _check_prefs(sizes, prefs, "linear")
-    return _park(sizes, prefs, wrap=False)
+    return _park(sizes, prefs, *_check_prefs(sizes, prefs, "linear"))
 
 
 def is_parking_sequence(sizes: SizeVector, prefs: PrefSequence) -> bool:

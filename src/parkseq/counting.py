@@ -2,11 +2,15 @@
 
 All results are plain Python ints, which are unbounded: for 20 cars of
 size 5 the linear count already exceeds 10^38, so fixed-width arithmetic
-would silently overflow.
+would silently overflow. Car i's option count is worked out once, in
+`_option_counts`; the formulas and the divider's codes read it there.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from functools import cache
 
 from .core import SizeVector
@@ -46,19 +50,20 @@ def _decimal(x: int) -> str:
     return _digits(x, k).lstrip("0")
 
 
-def count_linear(sizes: SizeVector) -> int:
-    """Number of linear parking sequences for the given car sizes.
-
-    Product over cars 2..n of (y_1 + ... + y_{i-1} + n + 2 - i);
-    the empty product (a single car) is 1.
+def _option_counts(sizes: SizeVector) -> list[int]:
+    """The option counts of cars 2..n in the circular divider construction:
+    car i has y_1 + ... + y_{i-1} cruise targets plus n + 2 - i open cells.
     """
-    n = sizes.n
-    result = 1
-    prefix = 0
-    for i in range(2, n + 1):
-        prefix += sizes.sizes[i - 2]
-        result *= prefix + n + 2 - i
-    return result
+    cruise = itertools.accumulate(sizes.sizes[:-1])  # y_1 + ... + y_{i-1}
+    direct = range(sizes.n, 1, -1)  # n + 2 - i
+    return list(map(operator.add, cruise, direct))
+
+
+def count_linear(sizes: SizeVector) -> int:
+    """Number of linear parking sequences for the given car sizes: the
+    product of the option counts of cars 2..n (`_option_counts`), which
+    is the empty product 1 for a single car."""
+    return math.prod(_option_counts(sizes))
 
 
 def count_circular(sizes: SizeVector) -> int:
@@ -77,13 +82,10 @@ def count_classical(n: int) -> int:
 
 
 def option_count(sizes: SizeVector, i: int) -> int:
-    """Number of choices car i has in the circular divider construction.
-
-    Car 1 picks any of the M spots; car i >= 2 has
-    y_1 + ... + y_{i-1} cruise targets plus n + 2 - i open intervals.
-    """
+    """Number of choices car i has in the circular divider construction:
+    any of the M spots for car 1, its `_option_counts` entry after that."""
     if not 1 <= i <= sizes.n:
         raise ValueError(f"car index {i} outside [1, {sizes.n}]")
     if i == 1:
         return sizes.circle_size
-    return sum(sizes.sizes[: i - 1]) + sizes.n + 2 - i
+    return _option_counts(sizes)[i - 2]

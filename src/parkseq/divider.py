@@ -7,16 +7,16 @@ an offset into its block). Exact spot coordinates only materialize once
 every car has a cell: each car cell spans that car's size, and the single
 never-chosen cell carries the one leftover empty spot.
 
-Car i has exactly option_count(sizes, i) choices, so option sequences are
-counted by the circular product formula; decoding them is a bijection onto
-circular parking sequences (injectivity plus matching cardinality, both
-checked exhaustively in the tests).
+Car i >= 2 has as many choices as counting._option_counts gives it, so
+option sequences are counted by the circular product formula; decoding
+them is a bijection onto circular parking sequences (injectivity plus
+matching cardinality, both checked exhaustively in the tests).
 
 So an option sequence is one integer code per car: code r of car i is
 option r of options_for_car(sizes, i), direct picks first, then cruise
 targets in (car, offset) order. One private core, `_decode`, works on
 the codes. The samplers draw the anchor and then one code per car, each
-uniform over its option_count, and decode the codes directly; no option
+uniform over its option count, and decode the codes directly; no option
 object is built. `decode` checks an OptionSequence and turns it into
 codes; `bruteforce.bijection_checks` enumerates the codes. The linear
 draw is the decoded circular draw shifted so its empty spot lands on M;
@@ -34,7 +34,7 @@ from typing import Iterator, Sequence, Union
 
 from .circular import empty_spot, wrap_spot
 from .core import Layout, PrefSequence, SizeVector
-from .counting import option_count
+from .counting import _option_counts
 
 
 @dataclass(frozen=True)
@@ -187,16 +187,15 @@ def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
 def _option_codes(sizes: SizeVector) -> Iterator[tuple[int, ...]]:
     """Every option sequence as (anchor, code of car 2, ..., code of car
     n), in the order of `enumerate_option_sequences`."""
-    cars = [range(option_count(sizes, i)) for i in range(2, sizes.n + 1)]
+    cars = [range(k) for k in _option_counts(sizes)]
     return itertools.product(range(1, sizes.circle_size + 1), *cars)
 
 
 def _draw(sizes: SizeVector, rng: Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Decode the anchor and one code per car, each drawn uniformly."""
-    n = sizes.n
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
     codes = [rng.randrange(1, sizes.circle_size + 1)]
-    codes += [rng.randrange(n + 2 - i + prefix[i - 1]) for i in range(2, n + 1)]
+    codes += [rng.randrange(k) for k in _option_counts(sizes)]
     return _decode(prefix, codes)
 
 

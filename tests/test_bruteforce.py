@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 import sys
 
 import pytest
@@ -144,6 +146,9 @@ def test_tally_at_the_oracle_edge(comp, flavor):
     for lo, hi in ((1, base), (1, base // 2), (base // 2 + 1, base)):
         assert _tally(sizes, flavor, lo, hi) == \
             naive_prefix_tally(sizes, flavor, lo, hi)
+    # the empty range that verify's partition split gives past one part per
+    # first coordinate
+    assert _tally(sizes, flavor, 3, 2) == (0, 0, 0)
 
 
 class TestVerify:
@@ -288,6 +293,24 @@ class TestSweep:
         assert exc_info.value.sizes.n >= 1
 
 
+UNKNOWN_FLAVOR_CALLS = {
+    "verify": lambda f: verify(SizeVector((2, 1)), f),
+    # a domain over the budget: the flavor is refused before the budget
+    "verify-over-budget": lambda f: verify(SizeVector((1,) * 30), f),
+    "verify_sweep": lambda f: verify_sweep(1, 2, f),
+    "enumerate": lambda f: next(enumerate_parking_sequences(SizeVector((2, 1)), f)),
+    "tally": lambda f: _tally(SizeVector((2, 1)), f, 1, 3),
+    "parking_states": lambda f: next(_parking_states(SizeVector((2, 1)), f)),
+}
+
+
+@pytest.mark.parametrize("flavor", ["Linear", "circ", ""])
+@pytest.mark.parametrize("call", UNKNOWN_FLAVOR_CALLS.values(), ids=UNKNOWN_FLAVOR_CALLS)
+def test_unknown_flavor_is_a_value_error(call, flavor):
+    with pytest.raises(ValueError, match=re.escape(f"unknown flavor {flavor!r}")):
+        call(flavor)
+
+
 def test_compositions_generator():
     comps = list(compositions(2, 3))
     assert comps == [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1)]
@@ -306,6 +329,17 @@ def test_bijection_checks_counts():
     assert report.circular_parking_sequences == 20
     assert report.linear_parking_sequences == 4
     assert report.all_pass
+
+
+def test_all_pass_reads_every_check():
+    report = bijection_checks(SizeVector((2, 1)))
+    bools = [f.name for f in dataclasses.fields(report) if f.type == "bool"]
+    assert list(report.checks) == bools and len(bools) == 6
+    assert report.all_pass
+    for name in bools:
+        failed = dataclasses.replace(report, **{name: False})
+        assert failed.checks[name] is False
+        assert not failed.all_pass
 
 
 def test_bijection_checks_budget():

@@ -113,6 +113,7 @@ class TestInputContract:
         lambda: PrefSequence((1, "2")),
         lambda: Layout(SizeVector((2, 1)), (1,)),
         lambda: Layout(SizeVector((2,)), (1, 3), "circular"),
+        lambda: Layout(SizeVector((2,)), (1,), "Circular"),
         lambda: decode(SizeVector((1, 1)), OptionSequence(1, ("direct",))),
         lambda: options_for_car(SizeVector((1, 1, 1)), 1),
         lambda: options_for_car(SizeVector((1, 1, 1)), 4),
@@ -133,6 +134,7 @@ class TestInputContract:
         "str-pref",
         "too-few-starts",
         "too-many-starts",
+        "unknown-layout-flavor",
         "unknown-car-option",
         "car-index-below-2",
         "car-index-above-n",
