@@ -94,8 +94,8 @@ def _tally(
     free spot, weighted by j - previous. On the circle the first free spot
     also takes the wrapped trailing run; on the line the trailing run
     cruises past the end. The first car meets an empty lot, where each
-    preference in [first_lo, first_hi] is its own free spot, and the empty
-    range first_lo = first_hi + 1 tallies nothing. Failed reach is weighted
+    preference in [first_lo, first_hi] is its own free spot, and an empty
+    range, first_lo > first_hi, tallies nothing. Failed reach is weighted
     by the later cars' choices once per depth.
     """
     n = sizes.n
@@ -111,7 +111,7 @@ def _tally(
         nxt: dict[int, int] = {}
         for mask, count in states.items():
             if depth == 0:
-                free = (1 << first_hi) - (1 << (first_lo - 1))
+                free = max(0, (1 << first_hi) - (1 << (first_lo - 1)))
                 prev = first_lo - 1
             else:
                 free = full & ~mask

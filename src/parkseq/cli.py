@@ -17,6 +17,7 @@ as decimal strings so 64-bit-limited JSON readers cannot truncate them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -65,13 +66,9 @@ def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
             print(line)
 
 
-def _flavor(args: argparse.Namespace) -> str:
-    return "circular" if getattr(args, "circular", False) else "linear"
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
-    flavor = _flavor(args)
+    flavor = args.flavor
     prefs = PrefSequence(_parse_int_list(args.prefs, "--prefs"), flavor)
     simulate = simulate_circular if flavor == "circular" else simulate_linear
     result = simulate(sizes, prefs)
@@ -82,7 +79,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         m = sizes.circle_size
         records = []
         for car, (s, y) in enumerate(zip(layout.starts, sizes.sizes), start=1):
-            end = s + y - 1 if flavor == "linear" else wrap_spot(s + y - 1, m)
+            end = wrap_spot(s + y - 1, m)  # on the line s + y - 1 <= T < M
             records.append({"car": car, "start": s, "end": end})
         records.sort(key=lambda r: r["start"])
         payload["result"] = "parked"
@@ -96,10 +93,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             lines.append(f"  empty spot: {e}")
         code = EXIT_OK
     elif isinstance(result, Collision):
-        payload["result"] = "collision"
-        payload["car"] = result.car
-        payload["first_empty"] = result.first_empty
-        payload["blocked"] = result.blocked
+        payload.update(result="collision", **dataclasses.asdict(result))
         lines.append(
             f"collision: car {result.car} found spot {result.first_empty} empty "
             f"but spot {result.blocked} is taken"
@@ -107,8 +101,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         code = EXIT_NEGATIVE
     else:
         assert isinstance(result, PastEnd)
-        payload["result"] = "past_end"
-        payload["car"] = result.car
+        payload.update(result="past_end", **dataclasses.asdict(result))
         lines.append(f"past end: car {result.car} drove past the end of the lot")
         code = EXIT_NEGATIVE
     _emit(payload, args.json, lines)
@@ -117,7 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
-    flavor = _flavor(args)
+    flavor = args.flavor
     value = count_circular(sizes) if flavor == "circular" else count_linear(sizes)
     digits = _decimal(value)
     payload = {
@@ -155,7 +148,7 @@ def _report_line(report: EnumerationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    flavor = _flavor(args)
+    flavor = args.flavor
     if args.sizes is not None and (
         args.max_cars is not None or args.max_total is not None
     ):
@@ -218,7 +211,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     for the whole payload.
     """
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
-    flavor = _flavor(args)
+    flavor = args.flavor
     if args.count < 0:
         raise ValueError("--count must be >= 0")
     rng = Random(args.seed)
@@ -255,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sizes", required=sizes_required,
                        help="comma-separated car sizes, e.g. 2,2,1")
         if flavored:
-            p.add_argument("--circular", action="store_true",
+            p.add_argument("--circular", dest="flavor", action="store_const",
+                           const="circular", default="linear",
                            help="use the circular lot of T+1 spots")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (one JSON document)")

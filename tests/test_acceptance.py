@@ -6,10 +6,9 @@ check, which uses a fixed seed and the chi-square 0.999 quantile.
 """
 
 import itertools
+import math
 from collections import Counter
 from random import Random
-
-from scipy.stats import chi2
 
 from parkseq import (
     Collision,
@@ -157,7 +156,18 @@ def test_criterion_7_decode_bijection():
               "(n <= 4, T <= 8); worked option counts are 11 and 14")
 
 
+# The 0.999 quantile of the chi-square law with 3 degrees of freedom, whose
+# CDF has the closed form F(x) = erf(sqrt(x/2)) - sqrt(2x/pi) * exp(-x/2).
+CHI2_3DF_Q999 = 16.26623619623813
+
+
+def chi2_3df_cdf(x: float) -> float:
+    return math.erf(math.sqrt(x / 2)) - math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+
+
 def test_criterion_8_sampler_exactness():
+    assert abs(chi2_3df_cdf(CHI2_3DF_Q999) - 0.999) < 1e-12
+
     sizes = SizeVector((2, 2))
     draws = 10_000
     expected = {(1, 1), (1, 2), (1, 3), (3, 1)}
@@ -173,7 +183,7 @@ def test_criterion_8_sampler_exactness():
     statistic = sum(
         (counts[tup] - draws / 4) ** 2 / (draws / 4) for tup in expected
     )
-    assert statistic < chi2.ppf(0.999, df=3)
+    assert statistic < CHI2_3DF_Q999
 
     replay_rng = Random(20260823)
     replay = Counter(
@@ -181,7 +191,7 @@ def test_criterion_8_sampler_exactness():
     )
     assert replay == counts
     report(8, f"10^4 seeded draws uniform over 4 sequences "
-              f"(chi-square {statistic:.2f} < {chi2.ppf(0.999, df=3):.2f}); "
+              f"(chi-square {statistic:.2f} < {CHI2_3DF_Q999:.2f}); "
               f"stream reproducible")
 
 

@@ -147,8 +147,9 @@ def test_tally_at_the_oracle_edge(comp, flavor):
         assert _tally(sizes, flavor, lo, hi) == \
             naive_prefix_tally(sizes, flavor, lo, hi)
     # the empty range that verify's partition split gives past one part per
-    # first coordinate
-    assert _tally(sizes, flavor, 3, 2) == (0, 0, 0)
+    # first coordinate, and empty ranges that end further below their start
+    for lo, hi in ((3, 2), (5, 2), (4, 1)):
+        assert _tally(sizes, flavor, lo, hi) == (0, 0, 0)
 
 
 class TestVerify:

@@ -81,6 +81,22 @@ class TestSimulate:
         assert code == 1
         assert "past end" in out
 
+    @pytest.mark.parametrize("extra, line", [
+        (("--prefs", "3,2,1"),
+         '{"command": "simulate", "sizes": [2, 2, 2], "flavor": "linear", '
+         '"result": "collision", "car": 2, "first_empty": 2, "blocked": 3}'),
+        (("--prefs", "2,5,5"),
+         '{"command": "simulate", "sizes": [2, 2, 2], "flavor": "linear", '
+         '"result": "past_end", "car": 3}'),
+        (("--prefs", "1,5,5", "--circular"),
+         '{"command": "simulate", "sizes": [2, 2, 2], "flavor": "circular", '
+         '"result": "collision", "car": 3, "first_empty": 7, "blocked": 1}'),
+    ], ids=["collision", "past-end", "circular-collision"])
+    def test_failure_json_bytes(self, capsys, extra, line):
+        code, out, err = run_cli(capsys, "simulate", "--sizes", "2,2,2",
+                                 *extra, "--json")
+        assert (code, out, err) == (1, line + "\n", "")
+
     def test_circular_reports_empty_spot(self, capsys):
         code, doc, _ = run_json(capsys, "simulate", "--sizes", "2,2",
                                 "--prefs", "1,4", "--circular")
