@@ -87,8 +87,9 @@ class Layout:
 
     def block(self, car: int) -> tuple[int, ...]:
         """The spots occupied by `car` (1-based index), in driving order."""
-        y = self.sizes.sizes[car - 1]
-        s = self.starts[car - 1]
+        if not 1 <= car <= self.sizes.n:
+            raise ValueError(f"car index {car} outside [1, {self.sizes.n}]")
+        y, s = self.sizes.sizes[car - 1], self.starts[car - 1]
         m, wrap = _lot(self.sizes, self.flavor)
         return tuple((s - 1 + k) % m + 1 if wrap else s + k for k in range(y))
 

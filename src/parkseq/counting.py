@@ -2,8 +2,9 @@
 
 All results are plain Python ints, which are unbounded: for 20 cars of
 size 5 the linear count already exceeds 10^38, so fixed-width arithmetic
-would silently overflow. Car i's option count is worked out once, in
-`_option_counts`; the formulas and the divider's codes read it there.
+would silently overflow. Every car's option count is worked out once,
+in `_option_counts`: one code per car, car 1's is its anchor spot minus
+one. The formulas and the divider's codes read it there.
 """
 
 from __future__ import annotations
@@ -51,27 +52,26 @@ def _decimal(x: int) -> str:
 
 
 def _option_counts(sizes: SizeVector) -> list[int]:
-    """The option counts of cars 2..n in the circular divider construction:
-    car i has y_1 + ... + y_{i-1} cruise targets plus n + 2 - i open cells.
-    """
+    """Every car's option count in the circular divider construction, one
+    code per car, car 1's is its anchor spot minus one: car 1 has M, car
+    i >= 2 has y_1 + ... + y_{i-1} cruise targets plus n + 2 - i open cells."""
     cruise = itertools.accumulate(sizes.sizes[:-1])  # y_1 + ... + y_{i-1}
     direct = range(sizes.n, 1, -1)  # n + 2 - i
-    return list(map(operator.add, cruise, direct))
+    return [sizes.circle_size, *map(operator.add, cruise, direct)]
 
 
 def count_linear(sizes: SizeVector) -> int:
     """Number of linear parking sequences for the given car sizes: the
-    product of the option counts of cars 2..n (`_option_counts`), which
-    is the empty product 1 for a single car."""
-    return math.prod(_option_counts(sizes))
+    product of the option counts of cars 2..n (`_option_counts` without
+    car 1's anchor), which is the empty product 1 for a single car."""
+    return math.prod(_option_counts(sizes)[1:])
 
 
 def count_circular(sizes: SizeVector) -> int:
-    """Number of circular parking sequences on M = T + 1 spots.
-
-    Equals M times the linear count.
-    """
-    return sizes.circle_size * count_linear(sizes)
+    """Number of circular parking sequences on M = T + 1 spots: the
+    product of every car's option count (`_option_counts`, one code per
+    car), so M times the linear count."""
+    return math.prod(_option_counts(sizes))
 
 
 def count_classical(n: int) -> int:
@@ -83,9 +83,8 @@ def count_classical(n: int) -> int:
 
 def option_count(sizes: SizeVector, i: int) -> int:
     """Number of choices car i has in the circular divider construction:
-    any of the M spots for car 1, its `_option_counts` entry after that."""
+    its `_option_counts` entry, one code per car, car 1's is its anchor
+    spot minus one."""
     if not 1 <= i <= sizes.n:
         raise ValueError(f"car index {i} outside [1, {sizes.n}]")
-    if i == 1:
-        return sizes.circle_size
-    return _option_counts(sizes)[i - 2]
+    return _option_counts(sizes)[i - 1]

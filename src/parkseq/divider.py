@@ -7,21 +7,20 @@ an offset into its block). Exact spot coordinates only materialize once
 every car has a cell: each car cell spans that car's size, and the single
 never-chosen cell carries the one leftover empty spot.
 
-Car i >= 2 has as many choices as counting._option_counts gives it, so
+Every car has as many choices as counting._option_counts gives it, so
 option sequences are counted by the circular product formula; decoding
 them is a bijection onto circular parking sequences (injectivity plus
 matching cardinality, both checked exhaustively in the tests).
 
-So an option sequence is one integer code per car: code r of car i is
-option r of options_for_car(sizes, i), direct picks first, then cruise
-targets in (car, offset) order. One private core, `_decode`, works on
-the codes. The samplers draw the anchor and then one code per car, each
-uniform over its option count, and decode the codes directly; no option
-object is built. `decode` checks an OptionSequence and turns it into
-codes; `bruteforce.bijection_checks` enumerates the codes. The linear
-draw is the decoded circular draw shifted so its empty spot lands on M;
-nothing is simulated, and the tests check the shift against rotate +
-restrict_to_linear.
+So an option sequence is one integer code per car, car 1's is its anchor
+spot minus one; code r of car i >= 2 is option r of options_for_car(sizes,
+i), direct picks first, then cruise targets in (car, offset) order. One
+private core, `_decode`, works on the codes. The samplers draw each code
+uniformly over its option count and decode the codes directly; no option
+object is built. `decode` checks an OptionSequence and turns it into codes;
+`bruteforce.bijection_checks` enumerates the codes. The linear draw is the
+decoded circular draw shifted so its empty spot lands on M; nothing is
+simulated, and the tests check the shift against rotate + restrict_to_linear.
 """
 
 from __future__ import annotations
@@ -73,11 +72,11 @@ def _decode(
     prefix: Sequence[int], codes: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The divider on integer codes: the (preferences, starts) of the
-    option sequence codes = (anchor, r_2, ..., r_n), where prefix[k] =
-    y_1 + ... + y_k. Car i's code r picks the (r + 1)-th open cell when
-    r < n + 2 - i, and else cruises on spot r - (n + 2 - i) of the cars
-    before i, counted in (car, offset) order. Nothing is checked.
-    """
+    option sequence codes = (r_1, ..., r_n), where prefix[k] = y_1 + ... +
+    y_k. One code per car, car 1's is its anchor spot minus one; car i's
+    code r picks the (r + 1)-th open cell when r < n + 2 - i, and else
+    cruises on spot r - (n + 2 - i) of the cars before i, counted in
+    (car, offset) order. Nothing is checked."""
     n = len(prefix) - 1
     m = prefix[n] + 1
     # cells[p] holds the car index in cell p, or 0 if the cell is open;
@@ -105,11 +104,11 @@ def _decode(
         cells[p] = i
         cell_of[i - 1] = p
 
-    # Collapse the dividers: walk clockwise from car 1's cell at the anchor
+    # Collapse the dividers: walk clockwise from car 1's cell at its anchor
     # spot; a car cell spans its size, the lone open cell spans one spot.
     # Spots stay in [1, M] and sizes below M, so one subtraction wraps.
     starts = [0] * n
-    spot = codes[0]
+    spot = codes[0] + 1
     for car in cells:
         if car == 0:
             spot += 1
@@ -126,11 +125,11 @@ def decode(
 ) -> tuple[PrefSequence, Layout]:
     """Turn an option sequence into a circular parking sequence and its layout.
 
-    One pass checks each option and turns it into its code, its index in
-    `options_for_car`; `_decode` does the rest. Parking the returned
-    preferences puts every car in exactly the returned layout;
-    `bruteforce.bijection_checks` checks that on every code sequence
-    against the starts its circular walk parks each sequence at.
+    One pass checks each option and turns it into its code, car 1's anchor
+    spot minus one, then each option's index in `options_for_car`; `_decode`
+    does the rest. Parking the returned preferences puts every car in exactly
+    the returned layout; `bruteforce.bijection_checks` checks that on every
+    code sequence against the starts its circular walk parks each sequence at.
     """
     n, ys = sizes.n, sizes.sizes
     if not (isinstance(opts.anchor, int) and 1 <= opts.anchor <= sizes.circle_size):
@@ -139,7 +138,7 @@ def decode(
         raise ValueError(f"expected {n - 1} car options, got {len(opts.options)}")
 
     prefix = tuple(itertools.accumulate(ys, initial=0))
-    codes = [opts.anchor]
+    codes = [opts.anchor - 1]
     for i, opt in enumerate(opts.options, start=2):
         direct = n + 2 - i
         if isinstance(opt, Direct):
@@ -185,24 +184,22 @@ def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
 
 
 def _option_codes(sizes: SizeVector) -> Iterator[tuple[int, ...]]:
-    """Every option sequence as (anchor, code of car 2, ..., code of car
-    n), in the order of `enumerate_option_sequences`."""
-    cars = [range(k) for k in _option_counts(sizes)]
-    return itertools.product(range(1, sizes.circle_size + 1), *cars)
+    """Every option sequence as one code per car, car 1's is its anchor spot
+    minus one, in the order of `enumerate_option_sequences`."""
+    return itertools.product(*map(range, _option_counts(sizes)))
 
 
 def _draw(sizes: SizeVector, rng: Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Decode the anchor and one code per car, each drawn uniformly."""
+    """Decode one code per car, car 1's is its anchor spot minus one, each
+    drawn uniformly over its option count."""
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    codes = [rng.randrange(1, sizes.circle_size + 1)]
-    codes += [rng.randrange(k) for k in _option_counts(sizes)]
-    return _decode(prefix, codes)
+    return _decode(prefix, [rng.randrange(k) for k in _option_counts(sizes)])
 
 
 def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
     """Draw a circular parking sequence exactly uniformly.
 
-    The anchor and each car's option number are drawn independently and
+    One code per car, car 1's is its anchor spot minus one, is drawn
     uniformly; decode is injective, so all outputs have equal probability.
     """
     prefs, _ = _draw(sizes, rng)
@@ -212,9 +209,10 @@ def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
 def sample_linear(sizes: SizeVector, rng: Random) -> PrefSequence:
     """Draw a linear parking sequence exactly uniformly.
 
-    Shifting a uniform circular sample so its empty spot lands on M picks
-    the unique such representative of its rotation orbit; orbits all have
-    size M, so uniformity is preserved. Nothing is parked again.
+    The circular draw, one code per car, car 1's is its anchor spot minus
+    one, is shifted so its empty spot lands on M: that picks the unique
+    such representative of its rotation orbit, and orbits all have size M,
+    so uniformity is preserved. Nothing is parked again.
     """
     prefs, starts = _draw(sizes, rng)
     e, m = empty_spot(Layout(sizes, starts, "circular")), sizes.circle_size

@@ -133,6 +133,20 @@ def naive_free_spots(layout: Layout) -> set[int]:
     return set(range(1, m + 1)) - covered
 
 
+def refuse_package_bindings(monkeypatch, functions, message: str) -> None:
+    """Make every binding of `functions` in parkseq and its submodules
+    raise AssertionError(message) while the test runs, however a module
+    imported them."""
+    def refuse(*args):
+        raise AssertionError(message)
+
+    for name, module in list(sys.modules.items()):
+        if name == "parkseq" or name.startswith("parkseq."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in functions):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
 @contextmanager
 def unlimited_str_digits():
     """Lift the interpreter's int-to-str digit limit inside the block, so a

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import re
-import sys
 
 import pytest
 from hypothesis import given
@@ -41,6 +40,7 @@ from conftest import (
     naive_prefix_tally,
     naive_simulate,
     naive_tally,
+    refuse_package_bindings,
 )
 
 
@@ -48,15 +48,11 @@ from conftest import (
 def no_simulators(monkeypatch):
     """Every binding of simulate_linear/simulate_circular in the package
     raises while the test runs."""
-    def refuse(*args):
-        raise AssertionError("no simulator may be called here")
-
-    originals = (parkseq.simulate_linear, parkseq.simulate_circular)
-    for name, module in list(sys.modules.items()):
-        if name == "parkseq" or name.startswith("parkseq."):
-            for attr, value in list(vars(module).items()):
-                if any(value is f for f in originals):
-                    monkeypatch.setattr(module, attr, refuse)
+    refuse_package_bindings(
+        monkeypatch,
+        (parkseq.simulate_linear, parkseq.simulate_circular),
+        "no simulator may be called here",
+    )
 
 
 CROSS_CHECK_CASES = [

@@ -125,6 +125,9 @@ class TestInputContract:
         lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Direct(1.0),))),
         lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Cruise(1.0, 1),))),
         lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Cruise(1, 1.5),))),
+        lambda: Layout(SizeVector((2, 3)), (1, 3)).block(0),
+        lambda: Layout(SizeVector((2, 3)), (1, 3)).block(-1),
+        lambda: Layout(SizeVector((2, 3)), (1, 3)).block(3),
     ],
     ids=[
         "unknown-flavor",
@@ -146,6 +149,9 @@ class TestInputContract:
         "float-interval",
         "float-cruise-car",
         "float-cruise-offset",
+        "block-of-car-0",
+        "block-of-car-minus-1",
+        "block-of-car-above-n",
     ],
 )
 def test_public_constructors_raise_value_error(build):

@@ -3,7 +3,6 @@ import io
 import itertools
 import json
 import os
-import sys
 from collections import Counter
 from random import Random
 
@@ -33,7 +32,12 @@ from parkseq import (
 )
 from parkseq.cli import main
 from parkseq.divider import _decode, _option_codes
-from conftest import naive_free_spots, naive_parking_set, naive_simulate
+from conftest import (
+    naive_free_spots,
+    naive_parking_set,
+    naive_simulate,
+    refuse_package_bindings,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_streams.json")
 
@@ -112,7 +116,7 @@ class TestOptionEnumeration:
         prefix = tuple(itertools.accumulate(comp, initial=0))
         options = enumerate_option_sequences(sizes)
         for codes, opts in zip(_option_codes(sizes), options, strict=True):
-            assert codes[0] == opts.anchor
+            assert codes[0] + 1 == opts.anchor
             prefs, starts = _decode(prefix, codes)
             public, layout = decode(sizes, opts)
             assert (prefs, starts) == (public.prefs, layout.starts)
@@ -256,15 +260,11 @@ class TestLinearShift:
         vectors += [SizeVector((3,)), SizeVector((2, 1, 3))]
         expected = {(v, seed): self.witness(v, seed) for v in vectors for seed in range(3)}
 
-        def refuse(*args):
-            raise AssertionError("sample_linear must not park or rotate anything")
-
-        originals = (simulate_circular, simulate_linear, restrict_to_linear, rotate)
-        for name, module in list(sys.modules.items()):
-            if name == "parkseq" or name.startswith("parkseq."):
-                for attr, value in list(vars(module).items()):
-                    if any(value is f for f in originals):
-                        monkeypatch.setattr(module, attr, refuse)
+        refuse_package_bindings(
+            monkeypatch,
+            (simulate_circular, simulate_linear, restrict_to_linear, rotate),
+            "sample_linear must not park or rotate anything",
+        )
         for (sizes, seed), linear in expected.items():
             assert sample_linear(sizes, Random(seed)) == linear
 
@@ -290,7 +290,9 @@ class TestGoldenStreams:
             assert json.dumps(got) == json.dumps(case[flavor])
 
     @pytest.mark.parametrize("case", golden["cli"], ids=lambda c: " ".join(c["argv"]))
-    def test_cli_sample_stdout(self, case):
+    def test_cli_stdout(self, case):
+        # exit code and stdout bytes of seeded sample calls, of the README's
+        # CLI examples in text and --json, and of budget refusals (exit 3)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(case["argv"])
