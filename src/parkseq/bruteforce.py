@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, fields
 from typing import Collection, Iterator
 
-from .core import Flavor, PrefSequence, SizeVector, _lot
+from .core import Flavor, PrefSequence, SizeVector, _ints, _lot
 from .counting import _decimal, count_circular, count_linear
 from .divider import _decode, _option_codes
 
@@ -59,8 +59,8 @@ class EnumerationReport:
 def _check_budget(sizes: SizeVector, flavor: Flavor, budget: int) -> tuple[int, bool]:
     """The lot of `flavor` (`core._lot`), once its tuple domain fits the budget."""
     base, wrap = _lot(sizes, flavor)
-    if budget < 1:  # admits no instance, so it is a usage error, not a refusal
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    # a budget below 1 admits no instance: a usage error, not a refusal
+    _ints((budget,), "budget must be >= 1, got {}")
     required = base**sizes.n
     if required > budget:
         raise BudgetExceededError(sizes, flavor, required, budget)
@@ -156,8 +156,7 @@ def verify(
     tallies are summed; the merged report is identical for any partition
     count (asserted by the tests).
     """
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
+    _ints((partitions,), "partitions must be >= 1, got {!r}")
     base, wrap = _check_budget(sizes, flavor, budget)
     bounds = [1 + (base * k) // partitions for k in range(partitions + 1)]
     tallies = [_tally(sizes, flavor, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
@@ -238,7 +237,10 @@ def enumerate_parking_sequences(
 
 def compositions(max_n: int, max_total: int) -> Iterator[tuple[int, ...]]:
     """All tuples of positive integers with at most max_n parts summing to
-    at most max_total, in (n, lexicographic) order."""
+    at most max_total, in (n, lexicographic) order. A bound below 1 admits
+    no composition, so it raises ValueError rather than yield nothing."""
+    _ints((max_n, max_total), "sweep bounds must be >= 1, got max_n={max_n}, "
+          "max_total={max_total}", max_n=max_n, max_total=max_total)
     for n in range(1, max_n + 1):
         for total in range(n, max_total + 1):
             for cuts in itertools.combinations(range(1, total), n - 1):
@@ -342,15 +344,9 @@ def verify_sweep(
     flavor: Flavor = "linear",
     budget: int = DEFAULT_BUDGET,
 ) -> list[EnumerationReport]:
-    """Run verify over every composition within the bounds.
-
-    A bound below 1 admits no composition, so it raises ValueError rather
-    than return an empty sweep that reads as all matching.
-    """
-    if max_n < 1 or max_total < 1:
-        raise ValueError(
-            f"sweep bounds must be >= 1, got max_n={max_n}, max_total={max_total}"
-        )
+    """Run verify over every composition within the bounds; `compositions`
+    refuses a bound below 1, which would give an empty sweep that reads as
+    all matching."""
     return [
         verify(SizeVector(comp), flavor, budget=budget)
         for comp in compositions(max_n, max_total)

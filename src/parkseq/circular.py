@@ -8,6 +8,7 @@ empty spot is M correspond exactly to the linear parking sequences.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .core import (
@@ -17,6 +18,7 @@ from .core import (
     PrefSequence,
     SizeVector,
     _check_prefs,
+    _ints,
     _park,
 )
 
@@ -37,8 +39,8 @@ def simulate_circular(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
 
 def rotate(sizes: SizeVector, prefs: PrefSequence, a: int) -> PrefSequence:
     """Add `a` to every preference modulo M, mapped back into [1, M]."""
-    _check_prefs(sizes, prefs, "circular")
-    m = sizes.circle_size
+    m, _ = _check_prefs(sizes, prefs, "circular")
+    _ints((a,), "rotation must be an integer, got {!r}", lo=-math.inf)
     return PrefSequence(
         tuple(wrap_spot(c + a, m) for c in prefs.prefs), "circular"
     )
@@ -55,7 +57,6 @@ def empty_spot(layout: Layout) -> int:
     m = layout.sizes.circle_size
     segments = []
     for s, y in zip(layout.starts, layout.sizes.sizes):
-        s = wrap_spot(s, m)
         end = s + y - 1
         if end <= m:
             segments.append((s, end))

@@ -39,6 +39,7 @@ from .core import (
     PastEnd,
     PrefSequence,
     SizeVector,
+    _ints,
     simulate_linear,
 )
 from .counting import _decimal, count_circular, count_linear
@@ -212,8 +213,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     """
     sizes = SizeVector(_parse_int_list(args.sizes, "--sizes"))
     flavor = args.flavor
-    if args.count < 0:
-        raise ValueError("--count must be >= 0")
+    _ints((args.count,), "--count must be >= 0", lo=0)
     rng = Random(args.seed)
     draw = sample_circular if flavor == "circular" else sample_linear
     draws = (draw(sizes, rng).prefs for _ in range(args.count))

@@ -8,6 +8,7 @@ Anything else is a classified failure.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, Union
@@ -15,9 +16,21 @@ from typing import Iterable, Literal, Sequence, Union
 Flavor = Literal["linear", "circular"]
 
 
+def _ints(
+    values: Iterable[object], error: str, lo: float = 1, hi: float = math.inf,
+    **fields: object,
+) -> None:
+    """The integer rule of every public input: each value is an exact int,
+    so `bool` is refused, inside [lo, hi]. The first value that breaks it
+    raises ValueError(error.format(value, lo=lo, hi=hi, **fields))."""
+    for x in values:
+        if type(x) is not int or not lo <= x <= hi:
+            raise ValueError(error.format(x, lo=lo, hi=hi, **fields))
+
+
 @dataclass(frozen=True)
 class SizeVector:
-    """The car sizes (y_1, ..., y_n), all positive."""
+    """The car sizes (y_1, ..., y_n): exact ints >= 1, `bool` refused."""
 
     sizes: tuple[int, ...]
 
@@ -25,9 +38,7 @@ class SizeVector:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         if len(self.sizes) < 1:
             raise ValueError("need at least one car")
-        for y in self.sizes:
-            if not isinstance(y, int) or y < 1:
-                raise ValueError(f"car sizes must be positive integers, got {y!r}")
+        _ints(self.sizes, "car sizes must be positive integers, got {!r}")
         # Derived once here, not on every read: the kernel and the decoder
         # read them on every call. They are not dataclass fields, so
         # equality, hashing, repr and dataclasses.fields see only `sizes`.
@@ -50,7 +61,7 @@ def _lot(sizes: SizeVector, flavor: str) -> tuple[int, bool]:
 
 @dataclass(frozen=True)
 class PrefSequence:
-    """A tuple of preferred spots (1-based), linear or circular flavor."""
+    """Preferred spots, exact ints >= 1 (`bool` refused), linear or circular."""
 
     prefs: tuple[int, ...]
     flavor: Flavor = "linear"
@@ -59,9 +70,7 @@ class PrefSequence:
         object.__setattr__(self, "prefs", tuple(self.prefs))
         if self.flavor not in ("linear", "circular"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        for c in self.prefs:
-            if not isinstance(c, int) or c < 1:
-                raise ValueError(f"preferences must be positive integers, got {c!r}")
+        _ints(self.prefs, "preferences must be positive integers, got {!r}")
 
     def __len__(self) -> int:
         return len(self.prefs)
@@ -72,7 +81,8 @@ class Layout:
     """Final positions: car i (1-based) occupies spots starting at starts[i-1].
 
     A car of size y starting at s covers s, s+1, ..., s+y-1; on a circular
-    lot the spots are taken mod M into [1, M].
+    lot the spots are taken mod M into [1, M]. Each start is an exact int
+    on the lot, in [1, T] or [1, M], `bool` refused.
     """
 
     sizes: SizeVector
@@ -83,12 +93,12 @@ class Layout:
         object.__setattr__(self, "starts", tuple(self.starts))
         if len(self.starts) != self.sizes.n:
             raise ValueError("one start per car required")
-        _lot(self.sizes, self.flavor)
+        m, _ = _lot(self.sizes, self.flavor)
+        _ints(self.starts, "start {!r} outside [1, {hi}]", hi=m)
 
     def block(self, car: int) -> tuple[int, ...]:
         """The spots occupied by `car` (1-based index), in driving order."""
-        if not 1 <= car <= self.sizes.n:
-            raise ValueError(f"car index {car} outside [1, {self.sizes.n}]")
+        _ints((car,), "car index {} outside [1, {hi}]", hi=self.sizes.n)
         y, s = self.sizes.sizes[car - 1], self.starts[car - 1]
         m, wrap = _lot(self.sizes, self.flavor)
         return tuple((s - 1 + k) % m + 1 if wrap else s + k for k in range(y))
@@ -136,9 +146,7 @@ def _check_prefs(
             f"preference count {len(prefs)} does not match car count {sizes.n}"
         )
     limit, wrap = _lot(sizes, flavor)
-    for c in prefs.prefs:
-        if not 1 <= c <= limit:
-            raise ValueError(f"preference {c} outside [1, {limit}]")
+    _ints(prefs.prefs, "preference {} outside [1, {hi}]", hi=limit)
     return limit, wrap
 
 
@@ -217,7 +225,5 @@ def is_classical_parking_function(prefs: Sequence[int] | Iterable[int]) -> bool:
     The empty sequence counts as a parking function (vacuously).
     """
     values = list(prefs)
-    for a in values:
-        if not isinstance(a, int) or a < 1:
-            raise ValueError(f"entries must be positive integers, got {a!r}")
+    _ints(values, "entries must be positive integers, got {!r}")
     return all(b <= i for i, b in enumerate(sorted(values), start=1))

@@ -14,7 +14,7 @@ import math
 import operator
 from functools import cache
 
-from .core import SizeVector
+from .core import SizeVector, _ints
 
 # str() is called only on pieces below 10**(2**_STR_K), 512 digits, which
 # is under the smallest int-to-str digit limit the interpreter accepts.
@@ -76,8 +76,7 @@ def count_circular(sizes: SizeVector) -> int:
 
 def count_classical(n: int) -> int:
     """Number of classical parking functions on n unit cars: (n+1)^(n-1)."""
-    if n < 1:
-        raise ValueError("need at least one car")
+    _ints((n,), "need at least one car, got {!r}")
     return (n + 1) ** (n - 1)
 
 
@@ -85,6 +84,5 @@ def option_count(sizes: SizeVector, i: int) -> int:
     """Number of choices car i has in the circular divider construction:
     its `_option_counts` entry, one code per car, car 1's is its anchor
     spot minus one."""
-    if not 1 <= i <= sizes.n:
-        raise ValueError(f"car index {i} outside [1, {sizes.n}]")
+    _ints((i,), "car index {} outside [1, {hi}]", hi=sizes.n)
     return _option_counts(sizes)[i - 1]

@@ -32,7 +32,7 @@ from random import Random
 from typing import Iterator, Sequence, Union
 
 from .circular import empty_spot, wrap_spot
-from .core import Layout, PrefSequence, SizeVector
+from .core import Layout, PrefSequence, SizeVector, _ints
 from .counting import _option_counts
 
 
@@ -132,8 +132,7 @@ def decode(
     code sequence against the starts its circular walk parks each sequence at.
     """
     n, ys = sizes.n, sizes.sizes
-    if not (isinstance(opts.anchor, int) and 1 <= opts.anchor <= sizes.circle_size):
-        raise ValueError(f"anchor {opts.anchor} outside [1, {sizes.circle_size}]")
+    _ints((opts.anchor,), "anchor {} outside [1, {hi}]", hi=sizes.circle_size)
     if len(opts.options) != n - 1:
         raise ValueError(f"expected {n - 1} car options, got {len(opts.options)}")
 
@@ -143,15 +142,12 @@ def decode(
         direct = n + 2 - i
         if isinstance(opt, Direct):
             t = opt.interval
-            if not (isinstance(t, int) and 1 <= t <= direct):
-                raise ValueError(f"car {i}: interval {t} outside [1, {direct}]")
+            _ints((t,), "car {i}: interval {} outside [1, {hi}]", hi=direct, i=i)
             codes.append(t - 1)
         elif isinstance(opt, Cruise):
             j, k = opt.car, opt.offset
-            if not (isinstance(j, int) and 1 <= j < i):
-                raise ValueError(f"car {i}: cruise target {j} not yet parked")
-            if not (isinstance(k, int) and 1 <= k <= ys[j - 1]):
-                raise ValueError(f"car {i}: cruise offset {k} outside [1, {ys[j - 1]}]")
+            _ints((j,), "car {i}: cruise target {} not yet parked", hi=i - 1, i=i)
+            _ints((k,), "car {i}: cruise offset {} outside [1, {hi}]", hi=ys[j - 1], i=i)
             codes.append(direct + prefix[j - 1] + k - 1)
         else:
             raise ValueError(f"car {i}: unknown option {opt!r}")
@@ -164,8 +160,7 @@ def options_for_car(sizes: SizeVector, i: int) -> list[CarOption]:
     """All valid choices for car i >= 2: the n + 2 - i direct interval
     picks, then the cruise targets in (car, offset) order. Option r is
     what code r means to `_decode`."""
-    if not 2 <= i <= sizes.n:
-        raise ValueError(f"car index {i} outside [2, {sizes.n}]")
+    _ints((i,), "car index {} outside [{lo}, {hi}]", lo=2, hi=sizes.n)
     direct = [Direct(t) for t in range(1, sizes.n + 3 - i)]
     return direct + [
         Cruise(j, k) for j in range(1, i) for k in range(1, sizes.sizes[j - 1] + 1)

@@ -16,13 +16,17 @@ from parkseq import (
     PrefSequence,
     SizeVector,
     compositions,
+    count_classical,
     decode,
     is_classical_parking_function,
     is_parking_sequence,
+    option_count,
     options_for_car,
     rotate,
     simulate_circular,
     simulate_linear,
+    verify,
+    verify_sweep,
 )
 from conftest import naive_simulate
 
@@ -128,6 +132,36 @@ class TestInputContract:
         lambda: Layout(SizeVector((2, 3)), (1, 3)).block(0),
         lambda: Layout(SizeVector((2, 3)), (1, 3)).block(-1),
         lambda: Layout(SizeVector((2, 3)), (1, 3)).block(3),
+        # one integer rule: an exact int in range, so bool is refused
+        lambda: SizeVector((True, 2)),
+        lambda: PrefSequence((True, 2)),
+        lambda: Layout(SizeVector((1, 2)), (True, 2)),
+        lambda: Layout(SizeVector((1, 2)), (1, 2)).block(True),
+        lambda: option_count(SizeVector((1, 1)), True),
+        lambda: options_for_car(SizeVector((1, 1, 1)), True),
+        lambda: decode(SizeVector((1, 1)), OptionSequence(True, (Direct(1),))),
+        lambda: decode(SizeVector((1, 1)), OptionSequence(1, (Direct(True),))),
+        lambda: decode(SizeVector((1, 1)), OptionSequence(1, (Cruise(True, 1),))),
+        lambda: decode(SizeVector((1, 1)), OptionSequence(1, (Cruise(1, True),))),
+        lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 4), "circular"), True),
+        lambda: count_classical(True),
+        lambda: verify(SizeVector((2, 2)), partitions=True),
+        lambda: verify(SizeVector((2, 2)), budget=True),
+        lambda: verify_sweep(True, 2),
+        lambda: verify_sweep(2, True),
+        lambda: list(compositions(True, 3)),
+        lambda: list(compositions(3, True)),
+        lambda: is_classical_parking_function([True]),
+        # Layout's starts lie on its lot: [1, T] or [1, M]
+        lambda: Layout(SizeVector((1, 2)), (0, 2)),
+        lambda: Layout(SizeVector((1, 2)), (1, -5)),
+        lambda: Layout(SizeVector((1, 2)), (1, 4)),
+        lambda: Layout(SizeVector((1, 2)), (5, 2), "circular"),
+        lambda: Layout(SizeVector((1, 2)), (1, 2.5)),
+        # non-integers that ended in a float or a TypeError
+        lambda: count_classical(2.5),
+        lambda: verify(SizeVector((2, 2)), partitions=2.5),
+        lambda: list(compositions(2.5, 3)),
     ],
     ids=[
         "unknown-flavor",
@@ -152,6 +186,33 @@ class TestInputContract:
         "block-of-car-0",
         "block-of-car-minus-1",
         "block-of-car-above-n",
+        "bool-size",
+        "bool-pref",
+        "bool-start",
+        "bool-block-car",
+        "bool-option-count",
+        "bool-options-for-car",
+        "bool-anchor",
+        "bool-interval",
+        "bool-cruise-car",
+        "bool-cruise-offset",
+        "bool-rotation",
+        "bool-count-classical",
+        "bool-partitions",
+        "bool-budget",
+        "bool-sweep-max-n",
+        "bool-sweep-max-total",
+        "bool-compositions-max-n",
+        "bool-compositions-max-total",
+        "bool-classical-entry",
+        "start-0",
+        "start-minus-5",
+        "linear-start-T-plus-1",
+        "circular-start-M-plus-1",
+        "float-start",
+        "float-count-classical",
+        "float-partitions",
+        "float-compositions-bound",
     ],
 )
 def test_public_constructors_raise_value_error(build):
