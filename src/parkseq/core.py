@@ -93,8 +93,8 @@ class Layout:
         object.__setattr__(self, "starts", tuple(self.starts))
         if len(self.starts) != self.sizes.n:
             raise ValueError("one start per car required")
-        m, _ = _lot(self.sizes, self.flavor)
-        _ints(self.starts, "start {!r} outside [1, {hi}]", hi=m)
+        spots, _ = _lot(self.sizes, self.flavor)
+        _ints(self.starts, "start {!r} outside [1, {hi}]", hi=spots)
 
     def block(self, car: int) -> tuple[int, ...]:
         """The spots occupied by `car` (1-based index), in driving order."""
