@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -236,7 +237,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `parkseq` parser, built once per process, on the first `main`
+    call, and reused by every later one; nothing is built at import.
+
+    Each subcommand's `cmd_*` is bound through `set_defaults(func=...)`
+    when the parser is built, so patching `cli.cmd_*` after that first
+    call has no effect. The module globals a command calls (`cli.verify`,
+    `cli.bijection_checks`, ...) are looked up on every call and can still
+    be patched.
+    """
     parser = argparse.ArgumentParser(
         prog="parkseq",
         description="Exact combinatorics of parking sequences for cars of different sizes.",

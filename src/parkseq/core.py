@@ -82,7 +82,8 @@ class Layout:
 
     A car of size y starting at s covers s, s+1, ..., s+y-1; on a circular
     lot the spots are taken mod M into [1, M]. Each start is an exact int
-    on the lot, in [1, T] or [1, M], `bool` refused.
+    on the lot, in [1, T] or [1, M], `bool` refused, and on the line each
+    block ends at or before spot T. Blocks are not checked for overlap.
     """
 
     sizes: SizeVector
@@ -93,8 +94,11 @@ class Layout:
         object.__setattr__(self, "starts", tuple(self.starts))
         if len(self.starts) != self.sizes.n:
             raise ValueError("one start per car required")
-        spots, _ = _lot(self.sizes, self.flavor)
+        spots, wrap = _lot(self.sizes, self.flavor)
         _ints(self.starts, "start {!r} outside [1, {hi}]", hi=spots)
+        if not wrap:  # a block on the line ends on the line
+            ends = (s + y - 1 for s, y in zip(self.starts, self.sizes.sizes))
+            _ints(ends, "block end {} outside [1, {hi}]", hi=spots)
 
     def block(self, car: int) -> tuple[int, ...]:
         """The spots occupied by `car` (1-based index), in driving order."""

@@ -472,6 +472,42 @@ def test_usage_error_bytes(capsys, argv):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {USAGE_ERRORS[argv]}\n")
 
 
+# Calls that leave the parser in a different state if it kept any: argparse's
+# own exit, --json then text, --circular then linear, a set budget then the
+# default, and a seeded sample.
+REUSE_SEQUENCE = [
+    "count --json",
+    "count --sizes 2,2,1 --json",
+    "count --sizes 2,2,1",
+    "simulate --sizes 2,2 --prefs 1,4 --circular",
+    "simulate --sizes 2,2 --prefs 1,4",
+    "verify --sizes 2,2 --budget 5",
+    "verify --sizes 2,2",
+    "sample --sizes 2,1,3 --count 4 --seed 7 --circular",
+    "sample --sizes 2,1,3 --count 4 --seed 7",
+]
+
+
+def test_parser_reused_across_calls_keeps_no_state(capsys):
+    def run(argv):
+        try:
+            return run_cli(capsys, *argv.split())
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    forward = {argv: run(argv) for argv in REUSE_SEQUENCE}
+    backward = {argv: run(argv) for argv in reversed(REUSE_SEQUENCE)}
+    assert forward == backward
+    code, out, err = forward["count --json"]
+    assert (code, out) == (2, "") and "required: --sizes" in err
+    assert forward["verify --sizes 2,2 --budget 5"][0] == 3
+    assert forward["verify --sizes 2,2"][0] == 0
+    # one parser, built by the first call of the process and kept
+    assert parkseq.cli.build_parser.cache_info().misses == 1
+    assert parkseq.cli.build_parser() is parkseq.cli.build_parser()
+
+
 class TestProcessLevel:
     """End-to-end through the interpreter, exercising argparse's own exits."""
 
@@ -501,6 +537,32 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "30"
         assert proc.stderr == ""
+
+    def test_parser_is_built_on_the_first_call_not_at_import(self):
+        # count the argparse parsers made: none by the import, and none by
+        # a second call
+        script = (
+            "import argparse, contextlib, io\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    made.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import parkseq.cli\n"
+            "counts = [len(made)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        parkseq.cli.main(['count', '--sizes', '2,2,1'])\n"
+            "    counts.append(len(made))\n"
+            "print(*counts)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=self.ENV)
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_first, after_second = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert after_first == after_second > 0
 
     def test_seed_is_mandatory(self):
         proc = self.run("sample", "--sizes", "2,2", "--count", "1")

@@ -91,6 +91,9 @@ class TestInputContract:
         with pytest.raises(ValueError):
             simulate_linear(SizeVector((2, 2)), PrefSequence((1, 2), "circular"))
 
+    def test_linear_block_may_end_at_T(self):
+        assert Layout(SizeVector((1, 2)), (1, 2)).block(2) == (2, 3)
+
     def test_derived_quantities(self):
         sv = SizeVector((2, 2, 1))
         assert (sv.n, sv.total, sv.circle_size) == (3, 5, 6)
@@ -158,6 +161,9 @@ class TestInputContract:
         lambda: Layout(SizeVector((1, 2)), (1, 4)),
         lambda: Layout(SizeVector((1, 2)), (5, 2), "circular"),
         lambda: Layout(SizeVector((1, 2)), (1, 2.5)),
+        # and on the line, each block ends on it: s + y - 1 <= T
+        lambda: Layout(SizeVector((1, 2)), (1, 3)),
+        lambda: Layout(SizeVector((3, 1)), (3, 1)),
         # non-integers that ended in a float or a TypeError
         lambda: count_classical(2.5),
         lambda: verify(SizeVector((2, 2)), partitions=2.5),
@@ -210,6 +216,8 @@ class TestInputContract:
         "linear-start-T-plus-1",
         "circular-start-M-plus-1",
         "float-start",
+        "linear-block-end-T-plus-1",
+        "linear-first-block-end-T-plus-1",
         "float-count-classical",
         "float-partitions",
         "float-compositions-bound",

@@ -290,11 +290,17 @@ class TestGoldenStreams:
             assert json.dumps(got) == json.dumps(case[flavor])
 
     @pytest.mark.parametrize("case", golden["cli"], ids=lambda c: " ".join(c["argv"]))
-    def test_cli_stdout(self, case):
+    def test_cli_stdout(self, case, monkeypatch):
         # exit code and stdout bytes of seeded sample calls, of the README's
-        # CLI examples in text and --json, and of budget refusals (exit 3)
+        # CLI examples in text and --json, of budget refusals (exit 3), and
+        # of every --help text (argparse's SystemExit(0)), wrapped at 80
+        # columns whatever the terminal
+        monkeypatch.setenv("COLUMNS", "80")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(case["argv"])
+            try:
+                code = main(case["argv"])
+            except SystemExit as exc:
+                code = exc.code
         assert code == case["exit_code"]
         assert out.getvalue() == case["stdout"]
