@@ -24,8 +24,8 @@ from dataclasses import dataclass, fields
 from typing import Collection, Iterator
 
 from .core import Flavor, PrefSequence, SizeVector, _ints, _lot
-from .counting import _decimal, count_circular, count_linear
-from .divider import _decode, _option_codes
+from .counting import _decimal, _option_counts, count_circular, count_linear
+from .divider import _cells, _collapse
 
 DEFAULT_BUDGET = 10**8
 
@@ -293,9 +293,13 @@ def bijection_checks(
     formula count, the spot-M-empty restriction against the linear
     parking set, and closure of the circular set under all M rotations.
     Every option sequence is decoded as its integer codes by the divider
-    core (`_option_codes`, `_decode`), which `decode` shares. Both parking
-    sets come from one walk each over the parked prefixes
-    (`_parking_states`). The circular walk is also the core's witness: it
+    core's two phases, which `decode` and the samplers run as `_decode`:
+    `_cells` once per codes of cars 2..n (`count_linear` times), and
+    `_collapse` on that result once per anchor (`count_circular` times).
+    Phase 1 never receives the anchor, so its result is the same for all
+    M anchors, and phase 2 only reads it. Both parking sets come from one
+    walk each over the parked prefixes (`_parking_states`). The circular
+    walk is also the core's witness: it
     parks every circular parking sequence with the block tables, and a
     decoded sequence is valid when the walk parked those preferences at
     exactly the decoded starts. A circular sequence leaves spot M empty
@@ -316,12 +320,14 @@ def bijection_checks(
     total = 0
     decode_valid = True
     image: set[tuple[int, ...]] = set()
-    for codes in _option_codes(sizes):
-        prefs, starts = _decode(prefix, codes)
-        total += 1
-        image.add(prefs)
-        if circular.get(prefs) != starts:
-            decode_valid = False
+    for rest in itertools.product(*map(range, _option_counts(sizes)[1:])):
+        cells, aim = _cells(prefix, rest)
+        for anchor in range(m):
+            prefs, starts = _collapse(prefix, cells, aim, anchor)
+            total += 1
+            image.add(prefs)
+            if circular.get(prefs) != starts:
+                decode_valid = False
 
     return BijectionReport(
         sizes=sizes,

@@ -15,10 +15,15 @@ matching cardinality, both checked exhaustively in the tests).
 So an option sequence is one integer code per car, car 1's is its anchor
 spot minus one; code r of car i >= 2 is option r of options_for_car(sizes,
 i), direct picks first, then cruise targets in (car, offset) order. One
-private core, `_decode`, works on the codes. The samplers draw each code
-uniformly over its option count and decode the codes directly; no option
-object is built. `decode` checks an OptionSequence and turns it into codes;
-`bruteforce.bijection_checks` enumerates the codes. The linear draw is the
+private core, `_decode`, works on the codes, in two phases: `_cells` puts
+cars 2..n into cells from their codes, and `_collapse` walks the cells
+from car 1's anchor to the spots. The anchor, the factor M of the
+circular product formula, reaches only phase 2. The samplers draw each
+code uniformly over its option count and decode the codes directly; no
+option object is built. `decode` checks an OptionSequence and turns it
+into codes; `bruteforce.bijection_checks` enumerates the codes of cars
+2..n, runs phase 1 once on each, and phase 2 on that result for each of
+the M anchors, since phase 1 never sees the anchor. The linear draw is the
 decoded circular draw shifted so its empty spot lands on M; nothing is
 simulated, and the tests check the shift against rotate + restrict_to_linear.
 """
@@ -68,29 +73,27 @@ class OptionSequence:
         object.__setattr__(self, "options", tuple(self.options))
 
 
-def _decode(
-    prefix: Sequence[int], codes: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The divider on integer codes: the (preferences, starts) of the
-    option sequence codes = (r_1, ..., r_n), where prefix[k] = y_1 + ... +
-    y_k. One code per car, car 1's is its anchor spot minus one; car i's
-    code r picks the (r + 1)-th open cell when r < n + 2 - i, and else
-    cruises on spot r - (n + 2 - i) of the cars before i, counted in
-    (car, offset) order. Nothing is checked."""
+def _cells(
+    prefix: Sequence[int], rest: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Phase 1 of the divider: put cars 2..n into cells. rest = (r_2, ...,
+    r_n) are their codes, and prefix[k] = y_1 + ... + y_k. Car i's code r
+    picks the (r + 1)-th open cell when r < n + 2 - i, and else cruises on
+    spot r - (n + 2 - i) of the cars before i, counted in (car, offset)
+    order. Returns (cells, aim): cells[p] holds the car index in cell p,
+    or 0 for the one open cell, with cell 0 car 1's and cells ordered
+    clockwise; car i prefers spot aim[i-1][1] (0-based) of car aim[i-1][0]'s
+    block (0-based car). Car 1's anchor is not an argument, so the result
+    is the same for every anchor. Nothing is checked."""
     n = len(prefix) - 1
-    m = prefix[n] + 1
-    # cells[p] holds the car index in cell p, or 0 if the cell is open;
-    # cell 0 is car 1's cell, and cells are ordered clockwise. open_cells
-    # lists the open cells in increasing order; cell 0 is never open.
     cells = [1] + [0] * n
     cell_of = [0] * n
+    # the open cells in increasing order; cell 0 is never open
     open_cells = list(range(1, n + 1))
-    # car i prefers spot aim[i-1][1] (0-based) of car aim[i-1][0]'s block:
     # a direct pick, like car 1, prefers the first spot of its own block
     aim = [(car, 0) for car in range(n)]
 
-    for i in range(2, n + 1):
-        r = codes[i - 1]
+    for i, r in enumerate(rest, start=2):
         direct = n + 2 - i
         if r < direct:
             p = open_cells.pop(r)
@@ -103,12 +106,25 @@ def _decode(
             p = open_cells.pop(k if k < len(open_cells) else 0)
         cells[p] = i
         cell_of[i - 1] = p
+    return cells, aim
 
-    # Collapse the dividers: walk clockwise from car 1's cell at its anchor
-    # spot; a car cell spans its size, the lone open cell spans one spot.
-    # Spots stay in [1, M] and sizes below M, so one subtraction wraps.
+
+def _collapse(
+    prefix: Sequence[int],
+    cells: Sequence[int],
+    aim: Sequence[tuple[int, int]],
+    anchor: int,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Phase 2 of the divider: collapse the dividers of `_cells`' result
+    with car 1 at spot anchor + 1, and return the (preferences, starts).
+    The walk goes clockwise from car 1's cell; a car cell spans its size,
+    and the lone open cell spans one spot, the empty spot. It only reads
+    cells and aim, so one phase-1 result serves every anchor."""
+    n = len(prefix) - 1
+    m = prefix[n] + 1
     starts = [0] * n
-    spot = codes[0] + 1
+    spot = anchor + 1
+    # spots stay in [1, M] and sizes below M, so one subtraction wraps
     for car in cells:
         if car == 0:
             spot += 1
@@ -118,6 +134,17 @@ def _decode(
         if spot > m:
             spot -= m
     return tuple((starts[j] + k - 1) % m + 1 for j, k in aim), tuple(starts)
+
+
+def _decode(
+    prefix: Sequence[int], codes: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divider on integer codes: the (preferences, starts) of the
+    option sequence codes = (r_1, ..., r_n), where prefix[k] = y_1 + ... +
+    y_k. One code per car, car 1's is its anchor spot minus one; cars
+    2..n go into cells (`_cells`), then the dividers collapse from the
+    anchor (`_collapse`). Nothing is checked."""
+    return _collapse(prefix, *_cells(prefix, codes[1:]), codes[0])
 
 
 def decode(
@@ -176,12 +203,6 @@ def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
     for anchor in range(1, sizes.circle_size + 1):
         for combo in itertools.product(*per_car):
             yield OptionSequence(anchor, combo)
-
-
-def _option_codes(sizes: SizeVector) -> Iterator[tuple[int, ...]]:
-    """Every option sequence as one code per car, car 1's is its anchor spot
-    minus one, in the order of `enumerate_option_sequences`."""
-    return itertools.product(*map(range, _option_counts(sizes)))
 
 
 def _draw(sizes: SizeVector, rng: Random) -> tuple[tuple[int, ...], tuple[int, ...]]:

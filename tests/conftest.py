@@ -3,6 +3,7 @@ import itertools
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from typing import Iterator
 
 from parkseq import (
     Collision,
@@ -12,6 +13,7 @@ from parkseq import (
     PrefSequence,
     SizeVector,
 )
+from parkseq.counting import _option_counts
 
 
 def naive_simulate(sizes: SizeVector, prefs: PrefSequence, flavor: str):
@@ -119,6 +121,13 @@ def naive_parking_set(sizes: SizeVector, flavor: str) -> frozenset[tuple[int, ..
         for tup in itertools.product(range(1, base + 1), repeat=sizes.n)
         if isinstance(naive_simulate(sizes, PrefSequence(tup, flavor), flavor), Parked)
     )
+
+
+def option_codes(sizes: SizeVector) -> Iterator[tuple[int, ...]]:
+    """Every option sequence as one code per car, car 1's is its anchor spot
+    minus one, in the order of `enumerate_option_sequences`: anchors
+    outermost, then car 2's code, and so on."""
+    return itertools.product(*map(range, _option_counts(sizes)))
 
 
 def naive_free_spots(layout: Layout) -> set[int]:

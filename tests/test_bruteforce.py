@@ -33,7 +33,7 @@ from parkseq.bruteforce import (
     _tally,
     bijection_checks,
 )
-from parkseq.divider import _decode, _option_codes
+from parkseq.divider import _cells, _collapse
 from conftest import (
     naive_free_spots,
     naive_parking_set,
@@ -420,19 +420,21 @@ def test_parking_states_yield_the_simulated_starts(comp, flavor):
 WITNESS_CASES = [(1, 2), (2, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]
 
 
-def report_with_first_decode(monkeypatch, sizes, corrupt):
-    """bijection_checks with the first (prefs, starts) pair the divider
-    core decodes replaced by corrupt(prefs, starts)."""
+def report_with_first_collapse(monkeypatch, sizes, corrupt):
+    """bijection_checks with the first (prefs, starts) pair that the
+    divider's phase 2 (`_collapse`) decodes replaced by
+    corrupt(prefix, cells, aim, anchor), which may call `_collapse` itself."""
     calls = 0
 
     def patched(*args):
         nonlocal calls
         calls += 1
-        prefs, starts = _decode(*args)
-        return corrupt(prefs, starts) if calls == 1 else (prefs, starts)
+        return corrupt(*args) if calls == 1 else _collapse(*args)
 
-    monkeypatch.setattr(parkseq.bruteforce, "_decode", patched)
-    return bijection_checks(sizes)
+    monkeypatch.setattr(parkseq.bruteforce, "_collapse", patched)
+    report = bijection_checks(sizes)
+    assert calls == count_circular(sizes)
+    return report
 
 
 @pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
@@ -440,10 +442,11 @@ def test_decode_witness_sees_a_moved_start(monkeypatch, comp):
     sizes = SizeVector(comp)
     m = sizes.circle_size
 
-    def move_first_start(prefs, starts):
+    def move_first_start(*args):
+        prefs, starts = _collapse(*args)
         return prefs, (starts[0] % m + 1,) + starts[1:]
 
-    report = report_with_first_decode(monkeypatch, sizes, move_first_start)
+    report = report_with_first_collapse(monkeypatch, sizes, move_first_start)
     assert not report.decode_valid
     assert report.image_equals_circular_set  # the preferences are untouched
 
@@ -453,23 +456,53 @@ def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
     sizes = SizeVector(comp)
     domain = itertools.product(range(1, sizes.circle_size + 1), repeat=sizes.n)
     stray = min(set(domain) - naive_parking_set(sizes, "circular"))
-    report = report_with_first_decode(
-        monkeypatch, sizes, lambda prefs, starts: (stray, starts)
-    )
+
+    def stray_prefs(*args):
+        return stray, _collapse(*args)[1]
+
+    report = report_with_first_collapse(monkeypatch, sizes, stray_prefs)
     assert not report.decode_valid
     assert not report.image_equals_circular_set
 
 
 @pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
 def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
+    # phase 2's first call (anchor 0) is skipped and answered with the
+    # next anchor's sequence, so one option sequence never reaches the image
     sizes = SizeVector(comp)
-    monkeypatch.setattr(
-        parkseq.bruteforce, "_option_codes",
-        lambda sizes: itertools.islice(_option_codes(sizes), 1, None),
-    )
-    report = bijection_checks(sizes)
+
+    def skip_first(prefix, cells, aim, anchor):
+        return _collapse(prefix, cells, aim, anchor + 1)
+
+    report = report_with_first_collapse(monkeypatch, sizes, skip_first)
+    assert report.option_sequences == count_circular(sizes)
+    assert report.distinct_decodes == count_circular(sizes) - 1
     assert not (report.decode_injective and report.image_count_matches_formula)
     assert not report.image_equals_circular_set
+    assert report.decode_valid  # every pair decoded is still a parking one
+
+
+@pytest.mark.parametrize(
+    "comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2), (2, 2, 1)], ids=str
+)
+def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
+    # the work done, counted: the divider places cars 2..n once per code
+    # tuple of cars 2..n (count_linear of them, by the product formula)
+    # and collapses once per option sequence (count_circular)
+    sizes = SizeVector(comp)
+    calls = {"cells": 0, "collapse": 0}
+
+    def counted(name, phase):
+        def stand_in(*args):
+            calls[name] += 1
+            return phase(*args)
+        return stand_in
+
+    monkeypatch.setattr(parkseq.bruteforce, "_cells", counted("cells", _cells))
+    monkeypatch.setattr(parkseq.bruteforce, "_collapse", counted("collapse", _collapse))
+    report = bijection_checks(sizes)
+    assert calls == {"cells": count_linear(sizes), "collapse": count_circular(sizes)}
+    assert report == reference_bijection_report(sizes)
 
 
 @pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)], ids=str)

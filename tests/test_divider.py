@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -31,11 +32,12 @@ from parkseq import (
     simulate_linear,
 )
 from parkseq.cli import main
-from parkseq.divider import _decode, _option_codes
+from parkseq.divider import _cells, _collapse, _decode
 from conftest import (
     naive_free_spots,
     naive_parking_set,
     naive_simulate,
+    option_codes,
     refuse_package_bindings,
 )
 
@@ -115,7 +117,7 @@ class TestOptionEnumeration:
         sizes = SizeVector(comp)
         prefix = tuple(itertools.accumulate(comp, initial=0))
         options = enumerate_option_sequences(sizes)
-        for codes, opts in zip(_option_codes(sizes), options, strict=True):
+        for codes, opts in zip(option_codes(sizes), options, strict=True):
             assert codes[0] + 1 == opts.anchor
             prefs, starts = _decode(prefix, codes)
             public, layout = decode(sizes, opts)
@@ -125,6 +127,37 @@ class TestOptionEnumeration:
                     assert prefs[i - 1] == starts[i - 1]
                 else:
                     assert prefs[i - 1] == layout.block(opt.car)[opt.offset - 1]
+
+    def test_core_outputs_are_pinned(self):
+        # every code tuple of every composition with n <= 4, T <= 8, in
+        # option_codes order, and what _decode makes of it: 191,851 tuples
+        # whose digest was recorded before _decode was split in two phases
+        digest = hashlib.sha256()
+        for comp in compositions(4, 8):
+            prefix = tuple(itertools.accumulate(comp, initial=0))
+            for codes in option_codes(SizeVector(comp)):
+                digest.update(repr((comp, codes, _decode(prefix, codes))).encode())
+        assert digest.hexdigest() == (
+            "f00eedd3607a98d813e829d73d6a019bcba74ba8386bd06b30eddaab86a7e019"
+        )
+
+    @pytest.mark.parametrize(
+        "comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2), (1, 1, 1, 2)], ids=str
+    )
+    def test_one_cell_assignment_serves_every_anchor(self, comp):
+        # bijection_checks runs _cells once per codes of cars 2..n and
+        # _collapse once per anchor on that one result: _collapse must give
+        # what _decode gives and leave the cells and aims as it found them
+        sizes = SizeVector(comp)
+        prefix = tuple(itertools.accumulate(comp, initial=0))
+        counts = [option_count(sizes, i) for i in range(2, sizes.n + 1)]
+        for rest in itertools.product(*map(range, counts)):
+            cells, aim = _cells(prefix, rest)
+            before = (list(cells), list(aim))
+            for anchor in range(sizes.circle_size):
+                decoded = _collapse(prefix, cells, aim, anchor)
+                assert decoded == _decode(prefix, (anchor,) + rest)
+            assert (cells, aim) == before
 
     def test_per_car_choice_counts(self):
         sizes = SizeVector((2, 5, 1, 3, 2))
