@@ -33,6 +33,7 @@ from parkseq.bruteforce import (
     _tally,
     bijection_checks,
 )
+from parkseq.counting import _option_counts
 from parkseq.divider import _cells, _collapse
 from conftest import (
     naive_free_spots,
@@ -477,9 +478,32 @@ def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
     report = report_with_first_collapse(monkeypatch, sizes, skip_first)
     assert report.option_sequences == count_circular(sizes)
     assert report.distinct_decodes == count_circular(sizes) - 1
-    assert not (report.decode_injective and report.image_count_matches_formula)
+    # each count check must trip on its own: M·∏ option sequences were
+    # decoded, but only one fewer distinct pairs came out
+    assert not report.image_count_matches_formula
+    assert not report.decode_injective
     assert not report.image_equals_circular_set
     assert report.decode_valid  # every pair decoded is still a parking one
+
+
+@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
+def test_dropped_code_fails_the_formula_count(monkeypatch, comp):
+    # the last car loses its last code, so its option sequences are never
+    # decoded: the decode stays injective and valid, and only the image's
+    # count against the formula (and the set itself) can see the loss
+    sizes = SizeVector(comp)
+    counts = _option_counts(sizes)
+    monkeypatch.setattr(
+        parkseq.bruteforce, "_option_counts",
+        lambda sizes: counts[:-1] + [counts[-1] - 1],
+    )
+    report = bijection_checks(sizes)
+    kept = count_circular(sizes) - count_circular(sizes) // counts[-1]
+    assert report.option_sequences == report.distinct_decodes == kept
+    assert report.decode_injective
+    assert report.decode_valid
+    assert not report.image_count_matches_formula
+    assert not report.image_equals_circular_set
 
 
 @pytest.mark.parametrize(
