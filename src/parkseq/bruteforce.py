@@ -23,9 +23,10 @@ import itertools
 from dataclasses import dataclass, fields
 from typing import Collection, Iterator
 
+from .circular import _turn
 from .core import Flavor, PrefSequence, SizeVector, _ints, _lot
 from .counting import _decimal, _option_counts, count_circular, count_linear
-from .divider import _cells, _collapse
+from .divider import _walk
 
 DEFAULT_BUDGET = 10**8
 
@@ -281,7 +282,7 @@ def _rotation_closed(tuples: Collection[tuple[int, ...]], m: int) -> bool:
     Rotation by 1 is a permutation of order m, so a finite set closed under
     it is closed under every rotation.
     """
-    return all(tuple(c % m + 1 for c in p) in tuples for p in tuples)
+    return all(_turn(p, 1, m) in tuples for p in tuples)
 
 
 def bijection_checks(
@@ -292,18 +293,16 @@ def bijection_checks(
     Checks decode validity, injectivity, image = circular parking set =
     formula count, the spot-M-empty restriction against the linear
     parking set, and closure of the circular set under all M rotations.
-    Every option sequence is decoded as its integer codes by the divider
-    core's two phases, which `decode` and the samplers run as `_decode`:
-    `_cells` once per codes of cars 2..n (`count_linear` times), and
-    `_collapse` on that result once per anchor (`count_circular` times).
-    Phase 1 never receives the anchor, so its result is the same for all
-    M anchors, and phase 2 only reads it. Both parking sets come from one
-    walk each over the parked prefixes (`_parking_states`). The circular
-    walk is also the core's witness: it
-    parks every circular parking sequence with the block tables, and a
-    decoded sequence is valid when the walk parked those preferences at
-    exactly the decoded starts. A circular sequence leaves spot M empty
-    exactly when its final occupancy is spots 1..T.
+    Every option sequence is decoded as its integer codes, the way `decode`
+    and the samplers decode it: `_walk` places cars 2..n with car 1 at spot
+    1, once per codes of cars 2..n (`count_linear` times), and its result
+    is turned by each of the M anchors (`count_circular` decodes), since
+    car 1's code only turns the walk. Both parking sets come from one walk
+    each over the parked prefixes (`_parking_states`). The circular walk is
+    also the core's witness: it parks every circular parking sequence with
+    the block tables, and a decoded sequence is valid when the walk parked
+    those preferences at exactly the decoded starts. A circular sequence
+    leaves spot M empty exactly when its final occupancy is spots 1..T.
     """
     m, _ = _check_budget(sizes, "circular", budget)
 
@@ -317,13 +316,16 @@ def bijection_checks(
     linear_set = {prefs for prefs, _, _ in _parking_states(sizes, "linear")}
 
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
+    n = sizes.n
     total = 0
     decode_valid = True
     image: set[tuple[int, ...]] = set()
     for rest in itertools.product(*map(range, _option_counts(sizes)[1:])):
-        cells, aim = _cells(prefix, rest)
+        prefs, starts = _walk(prefix, rest)
+        walked = prefs + starts  # turned as one tuple: one turn per decode
         for anchor in range(m):
-            prefs, starts = _collapse(prefix, cells, aim, anchor)
+            decoded = _turn(walked, anchor, m)
+            prefs, starts = decoded[:n], decoded[n:]
             total += 1
             image.add(prefs)
             if circular.get(prefs) != starts:

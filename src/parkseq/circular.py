@@ -28,6 +28,13 @@ def wrap_spot(x: int, modulus: int) -> int:
     return (x - 1) % modulus + 1
 
 
+def _turn(spots: tuple[int, ...], a: int, m: int) -> tuple[int, ...]:
+    """Turn spots of [1, m] clockwise by a, 0 <= a < m: the one place a
+    tuple of spots goes round the circle. Nothing is checked."""
+    b = m - a
+    return tuple([x + a if x <= b else x - b for x in spots])
+
+
 def simulate_circular(sizes: SizeVector, prefs: PrefSequence) -> ParkResult:
     """Run the parking rule on the circle; spot arithmetic is mod M.
 
@@ -41,9 +48,7 @@ def rotate(sizes: SizeVector, prefs: PrefSequence, a: int) -> PrefSequence:
     """Add `a` to every preference modulo M, mapped back into [1, M]."""
     m, _ = _check_prefs(sizes, prefs, "circular")
     _ints((a,), "rotation must be an integer, got {!r}", lo=-math.inf)
-    return PrefSequence(
-        tuple(wrap_spot(c + a, m) for c in prefs.prefs), "circular"
-    )
+    return PrefSequence(_turn(prefs.prefs, a % m, m), "circular")
 
 
 def empty_spot(layout: Layout) -> int:

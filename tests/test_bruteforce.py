@@ -33,8 +33,9 @@ from parkseq.bruteforce import (
     _tally,
     bijection_checks,
 )
+from parkseq.circular import _turn
 from parkseq.counting import _option_counts
-from parkseq.divider import _cells, _collapse
+from parkseq.divider import _walk
 from conftest import (
     naive_free_spots,
     naive_parking_set,
@@ -421,20 +422,20 @@ def test_parking_states_yield_the_simulated_starts(comp, flavor):
 WITNESS_CASES = [(1, 2), (2, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]
 
 
-def report_with_first_collapse(monkeypatch, sizes, corrupt):
-    """bijection_checks with the first (prefs, starts) pair that the
-    divider's phase 2 (`_collapse`) decodes replaced by
-    corrupt(prefix, cells, aim, anchor), which may call `_collapse` itself."""
+def report_with_first_walk(monkeypatch, sizes, corrupt):
+    """bijection_checks with the first (prefs, starts) pair that `_walk`
+    returns (cars 2..n all on code 0) replaced by corrupt(prefix, rest),
+    which may call `_walk` itself; every anchor turns that one pair."""
     calls = 0
 
     def patched(*args):
         nonlocal calls
         calls += 1
-        return corrupt(*args) if calls == 1 else _collapse(*args)
+        return corrupt(*args) if calls == 1 else _walk(*args)
 
-    monkeypatch.setattr(parkseq.bruteforce, "_collapse", patched)
+    monkeypatch.setattr(parkseq.bruteforce, "_walk", patched)
     report = bijection_checks(sizes)
-    assert calls == count_circular(sizes)
+    assert calls == count_linear(sizes)
     return report
 
 
@@ -444,38 +445,44 @@ def test_decode_witness_sees_a_moved_start(monkeypatch, comp):
     m = sizes.circle_size
 
     def move_first_start(*args):
-        prefs, starts = _collapse(*args)
+        prefs, starts = _walk(*args)
         return prefs, (starts[0] % m + 1,) + starts[1:]
 
-    report = report_with_first_collapse(monkeypatch, sizes, move_first_start)
+    report = report_with_first_walk(monkeypatch, sizes, move_first_start)
     assert not report.decode_valid
     assert report.image_equals_circular_set  # the preferences are untouched
 
 
 @pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
 def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
+    # no turn of a tuple that does not park parks, so all M decodes of the
+    # stray walk are stray
     sizes = SizeVector(comp)
     domain = itertools.product(range(1, sizes.circle_size + 1), repeat=sizes.n)
     stray = min(set(domain) - naive_parking_set(sizes, "circular"))
 
     def stray_prefs(*args):
-        return stray, _collapse(*args)[1]
+        return stray, _walk(*args)[1]
 
-    report = report_with_first_collapse(monkeypatch, sizes, stray_prefs)
+    report = report_with_first_walk(monkeypatch, sizes, stray_prefs)
     assert not report.decode_valid
     assert not report.image_equals_circular_set
 
 
 @pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
 def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
-    # phase 2's first call (anchor 0) is skipped and answered with the
-    # next anchor's sequence, so one option sequence never reaches the image
+    # the first decode (the first walk turned by anchor 0) is turned by
+    # anchor 1 instead, so one option sequence never reaches the image
     sizes = SizeVector(comp)
+    calls = 0
 
-    def skip_first(prefix, cells, aim, anchor):
-        return _collapse(prefix, cells, aim, anchor + 1)
+    def skip_first(spots, a, m):
+        nonlocal calls
+        calls += 1
+        return _turn(spots, a + 1 if calls == 1 else a, m)
 
-    report = report_with_first_collapse(monkeypatch, sizes, skip_first)
+    monkeypatch.setattr(parkseq.bruteforce, "_turn", skip_first)
+    report = bijection_checks(sizes)
     assert report.option_sequences == count_circular(sizes)
     assert report.distinct_decodes == count_circular(sizes) - 1
     # each count check must trip on its own: M·∏ option sequences were
@@ -484,6 +491,7 @@ def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
     assert not report.decode_injective
     assert not report.image_equals_circular_set
     assert report.decode_valid  # every pair decoded is still a parking one
+    assert report.rotation_invariant
 
 
 @pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
@@ -509,23 +517,33 @@ def test_dropped_code_fails_the_formula_count(monkeypatch, comp):
 @pytest.mark.parametrize(
     "comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2), (2, 2, 1)], ids=str
 )
-def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
-    # the work done, counted: the divider places cars 2..n once per code
-    # tuple of cars 2..n (count_linear of them, by the product formula)
-    # and collapses once per option sequence (count_circular)
+def test_bijection_checks_walk_once_per_m_anchors(monkeypatch, comp):
+    # the work done, counted: the divider walks once per code tuple of
+    # cars 2..n (count_linear of them, by the product formula) and turns
+    # once per option sequence (count_circular) before the rotation check,
+    # which turns each circular parking sequence once more
     sizes = SizeVector(comp)
-    calls = {"cells": 0, "collapse": 0}
+    calls = {"walk": 0, "turn": 0}
 
-    def counted(name, phase):
+    def counted(name, function):
         def stand_in(*args):
             calls[name] += 1
-            return phase(*args)
+            return function(*args)
         return stand_in
 
-    monkeypatch.setattr(parkseq.bruteforce, "_cells", counted("cells", _cells))
-    monkeypatch.setattr(parkseq.bruteforce, "_collapse", counted("collapse", _collapse))
+    def rotation_closed(*args):
+        calls["decode"] = calls["turn"]
+        return _rotation_closed(*args)
+
+    monkeypatch.setattr(parkseq.bruteforce, "_walk", counted("walk", _walk))
+    monkeypatch.setattr(parkseq.bruteforce, "_turn", counted("turn", _turn))
+    monkeypatch.setattr(parkseq.bruteforce, "_rotation_closed", rotation_closed)
     report = bijection_checks(sizes)
-    assert calls == {"cells": count_linear(sizes), "collapse": count_circular(sizes)}
+    assert calls == {
+        "walk": count_linear(sizes),
+        "decode": count_circular(sizes),
+        "turn": 2 * count_circular(sizes),
+    }
     assert report == reference_bijection_report(sizes)
 
 

@@ -19,6 +19,7 @@ from parkseq import (
     simulate_circular,
     wrap_spot,
 )
+from parkseq.circular import _turn
 from conftest import naive_free_spots, naive_parking_set
 
 
@@ -67,16 +68,28 @@ class TestRotate:
 
     @given(
         st.lists(st.integers(1, 3), min_size=1, max_size=4),
-        st.integers(0, 20),
+        st.integers(-50, 50),
         st.data(),
     )
     def test_round_trip(self, raw_sizes, a, data):
+        # offsets below 0 and at or past M are reduced mod M before the turn
         sizes = SizeVector(tuple(raw_sizes))
         m = sizes.circle_size
         prefs = circ(
             tuple(data.draw(st.integers(1, m)) for _ in range(sizes.n))
         )
-        assert rotate(sizes, rotate(sizes, prefs, a), m - a % m) == prefs
+        rotated = rotate(sizes, prefs, a)
+        assert rotated.prefs == tuple((c + a - 1) % m + 1 for c in prefs.prefs)
+        assert rotate(sizes, rotated, m - a % m) == prefs
+
+
+def test_turn_matches_the_literal():
+    # the one rule that turns spots, on every spot and every turn of
+    # circles of up to 10 spots
+    for m in range(1, 11):
+        spots = tuple(range(1, m + 1))
+        for a in range(m):
+            assert _turn(spots, a, m) == tuple((x + a - 1) % m + 1 for x in spots)
 
 
 class TestEmptySpot:

@@ -30,9 +30,11 @@ from parkseq import (
     sample_linear,
     simulate_circular,
     simulate_linear,
+    wrap_spot,
 )
 from parkseq.cli import main
-from parkseq.divider import _cells, _collapse, _decode
+from parkseq.circular import _turn
+from parkseq.divider import _walk
 from conftest import (
     naive_free_spots,
     naive_parking_set,
@@ -42,6 +44,53 @@ from conftest import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_streams.json")
+
+
+def decode_codes(prefix, codes):
+    """What decode makes of the codes (r_1, ..., r_n), prefix[k] = y_1 + ...
+    + y_k: cars 2..n walked with car 1 at spot 1, then turned by r_1."""
+    m = prefix[-1] + 1
+    prefs, starts = _walk(prefix, codes[1:])
+    return _turn(prefs, codes[0], m), _turn(starts, codes[0], m)
+
+
+def anchor_walks(prefix, rest):
+    """The divider as the construction states it, from every anchor: car
+    i's code picks among the open cells listed afresh, or finds its cruise
+    target by counting the spots off car by car, and the cells are then
+    walked round the circle from car 1's anchor spot a + 1, every spot
+    wrapped into [1, M]. Returns the (preferences, starts) for the anchor
+    codes a = 0, ..., M - 1 in turn."""
+    n = len(prefix) - 1
+    m = prefix[n] + 1
+    sizes = [prefix[j + 1] - prefix[j] for j in range(n)]
+    cells = [1] + [0] * n  # the car in each cell, clockwise from car 1's
+    aim = [(car, 0) for car in range(1, n + 1)]  # (1-based car, offset)
+    for i, r in enumerate(rest, start=2):
+        open_cells = [p for p in range(n + 1) if cells[p] == 0]
+        if r < len(open_cells):
+            p = open_cells[r]
+        else:
+            r -= len(open_cells)
+            j = 1
+            while r >= sizes[j - 1]:
+                r -= sizes[j - 1]
+                j += 1
+            aim[i - 1] = (j, r)
+            target = cells.index(j)
+            p = min(open_cells, key=lambda q: (q - target) % (n + 1))
+        cells[p] = i
+    walks = []
+    for a in range(m):
+        starts = [0] * n
+        spot = a + 1
+        for car in cells:
+            if car:
+                starts[car - 1] = spot
+            spot = wrap_spot(spot + (sizes[car - 1] if car else 1), m)
+        prefs = tuple(wrap_spot(starts[j - 1] + k, m) for j, k in aim)
+        walks.append((prefs, tuple(starts)))
+    return walks
 
 
 class TestDecode:
@@ -119,7 +168,7 @@ class TestOptionEnumeration:
         options = enumerate_option_sequences(sizes)
         for codes, opts in zip(option_codes(sizes), options, strict=True):
             assert codes[0] + 1 == opts.anchor
-            prefs, starts = _decode(prefix, codes)
+            prefs, starts = decode_codes(prefix, codes)
             public, layout = decode(sizes, opts)
             assert (prefs, starts) == (public.prefs, layout.starts)
             for i, opt in enumerate(opts.options, start=2):
@@ -130,34 +179,30 @@ class TestOptionEnumeration:
 
     def test_core_outputs_are_pinned(self):
         # every code tuple of every composition with n <= 4, T <= 8, in
-        # option_codes order, and what _decode makes of it: 191,851 tuples
-        # whose digest was recorded before _decode was split in two phases
+        # option_codes order, and what the divider makes of it: 191,851
+        # tuples whose digest was recorded from the walk that started at
+        # car 1's anchor, before the core became a spot-1 walk and a turn
         digest = hashlib.sha256()
         for comp in compositions(4, 8):
             prefix = tuple(itertools.accumulate(comp, initial=0))
             for codes in option_codes(SizeVector(comp)):
-                digest.update(repr((comp, codes, _decode(prefix, codes))).encode())
+                digest.update(repr((comp, codes, decode_codes(prefix, codes))).encode())
         assert digest.hexdigest() == (
             "f00eedd3607a98d813e829d73d6a019bcba74ba8386bd06b30eddaab86a7e019"
         )
 
-    @pytest.mark.parametrize(
-        "comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2), (1, 1, 1, 2)], ids=str
-    )
+    @pytest.mark.parametrize("comp", list(compositions(4, 8)), ids=str)
     def test_one_cell_assignment_serves_every_anchor(self, comp):
-        # bijection_checks runs _cells once per codes of cars 2..n and
-        # _collapse once per anchor on that one result: _collapse must give
-        # what _decode gives and leave the cells and aims as it found them
+        # bijection_checks walks the codes of cars 2..n once and turns the
+        # result by every anchor: each turn must be the walk from that anchor
         sizes = SizeVector(comp)
+        m = sizes.circle_size
         prefix = tuple(itertools.accumulate(comp, initial=0))
         counts = [option_count(sizes, i) for i in range(2, sizes.n + 1)]
         for rest in itertools.product(*map(range, counts)):
-            cells, aim = _cells(prefix, rest)
-            before = (list(cells), list(aim))
-            for anchor in range(sizes.circle_size):
-                decoded = _collapse(prefix, cells, aim, anchor)
-                assert decoded == _decode(prefix, (anchor,) + rest)
-            assert (cells, aim) == before
+            prefs, starts = _walk(prefix, rest)
+            turned = [(_turn(prefs, a, m), _turn(starts, a, m)) for a in range(m)]
+            assert turned == anchor_walks(prefix, rest)
 
     def test_per_car_choice_counts(self):
         sizes = SizeVector((2, 5, 1, 3, 2))
