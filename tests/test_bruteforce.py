@@ -517,11 +517,12 @@ def test_dropped_code_fails_the_formula_count(monkeypatch, comp):
 @pytest.mark.parametrize(
     "comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2), (2, 2, 1)], ids=str
 )
-def test_bijection_checks_walk_once_per_m_anchors(monkeypatch, comp):
-    # the work done, counted: the divider walks once per code tuple of
-    # cars 2..n (count_linear of them, by the product formula) and turns
-    # once per option sequence (count_circular) before the rotation check,
-    # which turns each circular parking sequence once more
+def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
+    # the work done, counted: phase 1, the walk that places cars 2..n, runs
+    # once per code tuple of cars 2..n (count_linear of them, by the product
+    # formula), and phase 2 turns that walk once per option sequence
+    # (count_circular) before the rotation check, which turns each circular
+    # parking sequence once more
     sizes = SizeVector(comp)
     calls = {"walk": 0, "turn": 0}
 
