@@ -29,6 +29,7 @@ from .counting import _decimal, _option_counts, count_circular, count_linear
 from .divider import _walk
 
 DEFAULT_BUDGET = 10**8
+_ROTATION_CHUNK = 4096  # tuples turned at a time by `_rotation_closed`
 
 
 class BudgetExceededError(Exception):
@@ -280,9 +281,18 @@ def _rotation_closed(tuples: Collection[tuple[int, ...]], m: int) -> bool:
     """True iff adding 1 mod m to every coordinate maps `tuples` into itself.
 
     Rotation by 1 is a permutation of order m, so a finite set closed under
-    it is closed under every rotation.
+    it is closed under every rotation. The turn is one `_turn` of the spots
+    1..m, read as a row whose entry x is spot x turned; the tuples are
+    turned through it column by column, `_ROTATION_CHUNK` at a time, so the
+    turned copy never grows with the set.
     """
-    return all(_turn(p, 1, m) in tuples for p in tuples)
+    row = (0, *_turn(tuple(range(1, m + 1)), 1 % m, m))
+    unchecked = iter(tuples)
+    while chunk := list(itertools.islice(unchecked, _ROTATION_CHUNK)):
+        turned = zip(*(map(row.__getitem__, column) for column in zip(*chunk)))
+        if not all(map(tuples.__contains__, turned)):
+            return False
+    return True
 
 
 def bijection_checks(
@@ -295,14 +305,16 @@ def bijection_checks(
     parking set, and closure of the circular set under all M rotations.
     Every option sequence is decoded as its integer codes, the way `decode`
     and the samplers decode it: `_walk` places cars 2..n with car 1 at spot
-    1, once per codes of cars 2..n (`count_linear` times), and its result
-    is turned by each of the M anchors (`count_circular` decodes), since
-    car 1's code only turns the walk. Both parking sets come from one walk
-    each over the parked prefixes (`_parking_states`). The circular walk is
-    also the core's witness: it parks every circular parking sequence with
-    the block tables, and a decoded sequence is valid when the walk parked
-    those preferences at exactly the decoded starts. A circular sequence
-    leaves spot M empty exactly when its final occupancy is spots 1..T.
+    1, once per codes of cars 2..n (`count_linear` times), and car 1's code
+    only turns the walk. So the walks are laid out column by column, and
+    each of the M anchors turns all of them with one `_turn` (M turns, not
+    one per decode); the turned columns are zipped back into preferences
+    and starts. Both parking sets come from one walk each over the parked
+    prefixes (`_parking_states`). The circular walk is also the core's
+    witness: it parks every circular parking sequence with the block
+    tables, and a decoded sequence is valid when the walk parked those
+    preferences at exactly the decoded starts. A circular sequence leaves
+    spot M empty exactly when its final occupancy is spots 1..T.
     """
     m, _ = _check_budget(sizes, "circular", budget)
 
@@ -316,20 +328,21 @@ def bijection_checks(
     linear_set = {prefs for prefs, _, _ in _parking_states(sizes, "linear")}
 
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    n = sizes.n
-    total = 0
+    codes = itertools.product(*map(range, _option_counts(sizes)[1:]))
+    walks = [prefs + starts for prefs, starts in (_walk(prefix, r) for r in codes)]
+    rows, n = len(walks), sizes.n
+    # the n preference columns, then the n start columns, end to end
+    columns = tuple(itertools.chain.from_iterable(zip(*walks)))
     decode_valid = True
     image: set[tuple[int, ...]] = set()
-    for rest in itertools.product(*map(range, _option_counts(sizes)[1:])):
-        prefs, starts = _walk(prefix, rest)
-        walked = prefs + starts  # turned as one tuple: one turn per decode
-        for anchor in range(m):
-            decoded = _turn(walked, anchor, m)
-            prefs, starts = decoded[:n], decoded[n:]
-            total += 1
-            image.add(prefs)
-            if circular.get(prefs) != starts:
-                decode_valid = False
+    for anchor in range(m):
+        turned = _turn(columns, anchor, m)
+        cut = [turned[k:k + rows] for k in range(0, len(turned), rows)]
+        prefs = list(zip(*cut[:n]))
+        image.update(prefs)
+        if list(map(circular.get, prefs)) != list(zip(*cut[n:])):
+            decode_valid = False
+    total = m * rows
 
     return BijectionReport(
         sizes=sizes,

@@ -23,7 +23,8 @@ from their codes with car 1 at spot 1, and car 1's code a then turns its
 each code uniformly over its option count and walk and turn the codes
 directly; no option object is built. `decode` checks an OptionSequence and
 turns it into codes; `bruteforce.bijection_checks` enumerates the codes of
-cars 2..n, walks each once and turns the result by each of the M anchors.
+cars 2..n, walks each once and turns all the walks at once by each of the
+M anchors.
 The linear draw is the walk turned so its empty spot lands on M; car 1's
 code cancels out, nothing is simulated, and the tests check the turn
 against rotate + restrict_to_linear.

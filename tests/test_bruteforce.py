@@ -471,26 +471,24 @@ def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
 
 @pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
 def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
-    # the first decode (the first walk turned by anchor 0) is turned by
-    # anchor 1 instead, so one option sequence never reaches the image
+    # the first walk repeats the second (the last car on code 1), so every
+    # anchor decodes one pair twice and the M option sequences of the first
+    # walk never reach the image; each pair decoded still parks
     sizes = SizeVector(comp)
-    calls = 0
+    m = sizes.circle_size
 
-    def skip_first(spots, a, m):
-        nonlocal calls
-        calls += 1
-        return _turn(spots, a + 1 if calls == 1 else a, m)
+    def second_walk(prefix, rest):
+        return _walk(prefix, rest[:-1] + (1,))
 
-    monkeypatch.setattr(parkseq.bruteforce, "_turn", skip_first)
-    report = bijection_checks(sizes)
+    report = report_with_first_walk(monkeypatch, sizes, second_walk)
     assert report.option_sequences == count_circular(sizes)
-    assert report.distinct_decodes == count_circular(sizes) - 1
+    assert report.distinct_decodes == count_circular(sizes) - m
     # each count check must trip on its own: M·∏ option sequences were
-    # decoded, but only one fewer distinct pairs came out
+    # decoded, but M fewer distinct pairs came out
     assert not report.image_count_matches_formula
     assert not report.decode_injective
     assert not report.image_equals_circular_set
-    assert report.decode_valid  # every pair decoded is still a parking one
+    assert report.decode_valid
     assert report.rotation_invariant
 
 
@@ -518,12 +516,12 @@ def test_dropped_code_fails_the_formula_count(monkeypatch, comp):
     "comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2), (2, 2, 1)], ids=str
 )
 def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
-    # the work done, counted: phase 1, the walk that places cars 2..n, runs
-    # once per code tuple of cars 2..n (count_linear of them, by the product
-    # formula), and phase 2 turns that walk once per option sequence
-    # (count_circular) before the rotation check, which turns each circular
-    # parking sequence once more
+    # the work done, counted: the walk that places cars 2..n runs once per
+    # code tuple of cars 2..n (count_linear of them, by the product
+    # formula), and each of the M anchors turns all the walks with one turn,
+    # not one per decode; the rotation check then turns one row of spots
     sizes = SizeVector(comp)
+    m = sizes.circle_size
     calls = {"walk": 0, "turn": 0}
 
     def counted(name, function):
@@ -540,11 +538,8 @@ def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
     monkeypatch.setattr(parkseq.bruteforce, "_turn", counted("turn", _turn))
     monkeypatch.setattr(parkseq.bruteforce, "_rotation_closed", rotation_closed)
     report = bijection_checks(sizes)
-    assert calls == {
-        "walk": count_linear(sizes),
-        "decode": count_circular(sizes),
-        "turn": 2 * count_circular(sizes),
-    }
+    assert calls == {"walk": count_linear(sizes), "decode": m, "turn": m + 1}
+    assert report.option_sequences == count_circular(sizes)
     assert report == reference_bijection_report(sizes)
 
 
@@ -564,6 +559,43 @@ def test_rotation_closure_sees_a_missing_rotation(comp):
     for a in range(1, m):
         rotated = rotate(sizes, PrefSequence(first, "circular"), a).prefs
         assert not _rotation_closed(parking - {rotated}, m)
+
+
+@pytest.mark.parametrize("comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2)], ids=str)
+def test_rotation_closure_of_the_circular_dict(comp):
+    # bijection_checks passes its dict of circular parking sequences
+    sizes = SizeVector(comp)
+    m = sizes.circle_size
+    circular = {p: s for p, s, _ in _parking_states(sizes, "circular")}
+    assert _rotation_closed(circular, m)
+    del circular[max(circular)]
+    assert not _rotation_closed(circular, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_rotation_closure_of_an_empty_collection(m):
+    assert _rotation_closed(set(), m)
+    assert _rotation_closed({}, m)
+
+
+def test_rotation_closure_with_one_spot_or_one_coordinate():
+    assert _rotation_closed({(1,)}, 1)
+    assert _rotation_closed({(1, 1, 1)}, 1)
+    assert _rotation_closed({(1,), (2,), (3,)}, 3)
+    assert not _rotation_closed({(1,), (2,)}, 3)
+    assert not _rotation_closed({(3,)}, 3)
+
+
+def test_rotation_closure_checks_every_chunk():
+    # the whole domain [1, 17]^3 but (1, 1, 1), in lexicographic order: the
+    # one tuple whose turn is missing, (17, 17, 17), comes last, after the
+    # first chunk, so a check of the first chunk alone would pass
+    m = 17
+    tuples = dict.fromkeys(itertools.product(range(1, m + 1), repeat=3))
+    assert _rotation_closed(tuples, m)
+    del tuples[(1, 1, 1)]
+    assert list(tuples).index((m, m, m)) >= parkseq.bruteforce._ROTATION_CHUNK
+    assert not _rotation_closed(tuples, m)
 
 
 @st.composite
