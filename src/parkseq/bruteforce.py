@@ -14,14 +14,15 @@ Each flavor's lot is read from `core._lot`, which refuses unknown ones.
 
 The parking sequences themselves are listed by a depth-first walk over
 the prefixes that parked, which reads the tally's per-car block tables
-once per free spot and never extends a failed prefix.
+once per free spot and never extends a failed prefix. It yields them in
+lexicographic order, so the bijection checks take them block by block.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from typing import Collection, Iterator
+from typing import Iterator
 
 from .circular import _turn
 from .core import Flavor, PrefSequence, SizeVector, _ints, _lot
@@ -29,7 +30,6 @@ from .counting import _decimal, _option_counts, count_circular, count_linear
 from .divider import _walk
 
 DEFAULT_BUDGET = 10**8
-_ROTATION_CHUNK = 4096  # tuples turned at a time by `_rotation_closed`
 
 
 class BudgetExceededError(Exception):
@@ -277,24 +277,6 @@ class BijectionReport:
         return all(self.checks.values())
 
 
-def _rotation_closed(tuples: Collection[tuple[int, ...]], m: int) -> bool:
-    """True iff adding 1 mod m to every coordinate maps `tuples` into itself.
-
-    Rotation by 1 is a permutation of order m, so a finite set closed under
-    it is closed under every rotation. The turn is one `_turn` of the spots
-    1..m, read as a row whose entry x is spot x turned; the tuples are
-    turned through it column by column, `_ROTATION_CHUNK` at a time, so the
-    turned copy never grows with the set.
-    """
-    row = (0, *_turn(tuple(range(1, m + 1)), 1 % m, m))
-    unchecked = iter(tuples)
-    while chunk := list(itertools.islice(unchecked, _ROTATION_CHUNK)):
-        turned = zip(*(map(row.__getitem__, column) for column in zip(*chunk)))
-        if not all(map(tuples.__contains__, turned)):
-            return False
-    return True
-
-
 def bijection_checks(
     sizes: SizeVector, budget: int = DEFAULT_BUDGET
 ) -> BijectionReport:
@@ -302,60 +284,78 @@ def bijection_checks(
 
     Checks decode validity, injectivity, image = circular parking set =
     formula count, the spot-M-empty restriction against the linear
-    parking set, and closure of the circular set under all M rotations.
-    Every option sequence is decoded as its integer codes, the way `decode`
-    and the samplers decode it: `_walk` places cars 2..n with car 1 at spot
-    1, once per codes of cars 2..n (`count_linear` times), and car 1's code
-    only turns the walk. So the walks are laid out column by column, and
-    each of the M anchors turns all of them with one `_turn` (M turns, not
-    one per decode); the turned columns are zipped back into preferences
-    and starts. Both parking sets come from one walk each over the parked
-    prefixes (`_parking_states`). The circular walk is also the core's
-    witness: it parks every circular parking sequence with the block
-    tables, and a decoded sequence is valid when the walk parked those
-    preferences at exactly the decoded starts. A circular sequence leaves
-    spot M empty exactly when its final occupancy is spots 1..T.
+    parking set, and closure of the circular set under all M rotations,
+    block by block of car 1's preference c = 1..M: the circular walk
+    (`_parking_states`) yields each block whole, its `count_linear`
+    sequences mapped to their starts. `_walk` places cars 2..n with car 1
+    at spot 1, once per codes of cars 2..n, and car 1's code only turns
+    the walk, as in `decode` and the samplers. So the walks are laid out
+    column by column, grouped by car 1's preference p (one group, p = 1,
+    unless a walk is wrong), and one `_turn` by c - p of each group decodes
+    into block c, where each decoded start is looked up; the blocks are
+    disjoint, so the image is compared and counted block by block. A turn
+    by 1 maps block c onto block c + 1, so the set is closed under every
+    rotation exactly when each block c is block 1 turned by c - 1.
     """
     m, _ = _check_budget(sizes, "circular", budget)
+    n = sizes.n
 
-    spot_m_empty = (1 << (m - 1)) - 1
-    circular: dict[tuple[int, ...], tuple[int, ...]] = {}
-    restricted = set()
-    for prefs, starts, mask in _parking_states(sizes, "circular"):
-        circular[prefs] = starts
-        if mask == spot_m_empty:
-            restricted.add(prefs)
-    linear_set = {prefs for prefs, _, _ in _parking_states(sizes, "linear")}
+    def cut(spots: tuple[int, ...], width: int) -> list[tuple[int, ...]]:
+        rows = len(spots) // width  # `width` equal columns laid end to end
+        return [spots[k * rows:(k + 1) * rows] for k in range(width)]
 
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
     codes = itertools.product(*map(range, _option_counts(sizes)[1:]))
-    walks = [prefs + starts for prefs, starts in (_walk(prefix, r) for r in codes)]
-    rows, n = len(walks), sizes.n
-    # the n preference columns, then the n start columns, end to end
-    columns = tuple(itertools.chain.from_iterable(zip(*walks)))
-    decode_valid = True
-    image: set[tuple[int, ...]] = set()
-    for anchor in range(m):
-        turned = _turn(columns, anchor, m)
-        cut = [turned[k:k + rows] for k in range(0, len(turned), rows)]
-        prefs = list(zip(*cut[:n]))
-        image.update(prefs)
-        if list(map(circular.get, prefs)) != list(zip(*cut[n:])):
-            decode_valid = False
-    total = m * rows
+    walks: dict[int, list[tuple[int, ...]]] = {}
+    for prefs, starts in (_walk(prefix, r) for r in codes):
+        walks.setdefault(prefs[0], []).append(prefs + starts)
+    total = m * sum(map(len, walks.values()))
+    # by car 1's preference: n preference columns, then n start columns
+    groups = [(p, tuple(itertools.chain(*zip(*w)))) for p, w in walks.items()]
+
+    spot_m_empty = (1 << (m - 1)) - 1  # the final occupancy of spots 1..T
+    restricted = set()
+    stream = _parking_states(sizes, "circular")
+    state = next(stream, None)
+    circular = distinct = 0
+    decode_valid = image_equals_circular_set = rotation_invariant = True
+    for c in range(1, m + 1):
+        block: dict[tuple[int, ...], tuple[int, ...]] = {}
+        while state and state[0][0] == c:
+            prefs, starts, mask = state
+            block[prefs] = starts
+            if mask == spot_m_empty:
+                restricted.add(prefs)
+            state = next(stream, None)
+        circular += len(block)
+        image: set[tuple[int, ...]] = set()
+        for p, columns in groups:
+            spots = cut(_turn(columns, (c - p) % m, m), 2 * n)
+            prefs = list(zip(*spots[:n]))
+            image.update(prefs)
+            decode_valid &= list(map(block.get, prefs)) == list(zip(*spots[n:]))
+        distinct += len(image)
+        image_equals_circular_set &= image == block.keys()
+        if c == 1:
+            first = tuple(itertools.chain(*zip(*block)))
+        else:
+            turned = zip(*cut(_turn(first, c - 1, m), n))
+            rotation_invariant &= len(block) * n == len(first) and all(
+                map(block.__contains__, turned))
+    linear_set = {prefs for prefs, _, _ in _parking_states(sizes, "linear")}
 
     return BijectionReport(
         sizes=sizes,
         option_sequences=total,
-        distinct_decodes=len(image),
-        circular_parking_sequences=len(circular),
+        distinct_decodes=distinct,
+        circular_parking_sequences=circular,
         linear_parking_sequences=len(linear_set),
         decode_valid=decode_valid,
-        decode_injective=len(image) == total,
-        image_equals_circular_set=image == circular.keys(),
-        image_count_matches_formula=len(image) == count_circular(sizes),
+        decode_injective=distinct == total,
+        image_equals_circular_set=image_equals_circular_set,
+        image_count_matches_formula=distinct == count_circular(sizes),
         restriction_matches_linear_set=restricted == linear_set,
-        rotation_invariant=_rotation_closed(circular, m),
+        rotation_invariant=rotation_invariant,
     )
 
 

@@ -22,9 +22,9 @@ from their codes with car 1 at spot 1, and car 1's code a then turns its
 (preferences, starts) by a spots (`circular._turn`). The samplers draw
 each code uniformly over its option count and walk and turn the codes
 directly; no option object is built. `decode` checks an OptionSequence and
-turns it into codes; `bruteforce.bijection_checks` enumerates the codes of
-cars 2..n, walks each once and turns all the walks at once by each of the
-M anchors.
+turns it into codes; `bruteforce.bijection_checks` walks each code tuple
+of cars 2..n once and turns all the walks at once into each block of car
+1's preference, a block at a time.
 The linear draw is the walk turned so its empty spot lands on M; car 1's
 code cancels out, nothing is simulated, and the tests check the turn
 against rotate + restrict_to_linear.

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import re
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -29,7 +31,6 @@ from parkseq.bruteforce import (
     BijectionReport,
     _blocks,
     _parking_states,
-    _rotation_closed,
     _tally,
     bijection_checks,
 )
@@ -518,27 +519,28 @@ def test_dropped_code_fails_the_formula_count(monkeypatch, comp):
 def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
     # the work done, counted: the walk that places cars 2..n runs once per
     # code tuple of cars 2..n (count_linear of them, by the product
-    # formula), and each of the M anchors turns all the walks with one turn,
-    # not one per decode; the rotation check then turns one row of spots
+    # formula); each of the M blocks turns the 2n columns of all the walks
+    # with one turn, not one per decode, and each block but block 1 turns
+    # the n preference columns of block 1 once for the rotation check
     sizes = SizeVector(comp)
-    m = sizes.circle_size
-    calls = {"walk": 0, "turn": 0}
+    m, n, rows = sizes.circle_size, sizes.n, count_linear(sizes)
+    walks = 0
+    turned = Counter()
 
-    def counted(name, function):
-        def stand_in(*args):
-            calls[name] += 1
-            return function(*args)
-        return stand_in
+    def walk(*args):
+        nonlocal walks
+        walks += 1
+        return _walk(*args)
 
-    def rotation_closed(*args):
-        calls["decode"] = calls["turn"]
-        return _rotation_closed(*args)
+    def turn(spots, a, m):
+        turned[len(spots)] += 1
+        return _turn(spots, a, m)
 
-    monkeypatch.setattr(parkseq.bruteforce, "_walk", counted("walk", _walk))
-    monkeypatch.setattr(parkseq.bruteforce, "_turn", counted("turn", _turn))
-    monkeypatch.setattr(parkseq.bruteforce, "_rotation_closed", rotation_closed)
+    monkeypatch.setattr(parkseq.bruteforce, "_walk", walk)
+    monkeypatch.setattr(parkseq.bruteforce, "_turn", turn)
     report = bijection_checks(sizes)
-    assert calls == {"walk": count_linear(sizes), "decode": m, "turn": m + 1}
+    assert walks == rows
+    assert turned == {2 * n * rows: m, n * rows: m - 1}
     assert report.option_sequences == count_circular(sizes)
     assert report == reference_bijection_report(sizes)
 
@@ -549,76 +551,156 @@ def test_bijection_checks_never_simulate(no_simulators, comp):
     assert bijection_checks(sizes) == reference_bijection_report(sizes)
 
 
+def report_without(monkeypatch, sizes, dropped):
+    """bijection_checks with the circular parking sequences in `dropped`
+    left out of the circular walk; the linear walk is untouched."""
+    def walk_without(sizes, flavor):
+        states = _parking_states(sizes, flavor)
+        if flavor == "linear":
+            return states
+        return (state for state in states if state[0] not in dropped)
+
+    monkeypatch.setattr(parkseq.bruteforce, "_parking_states", walk_without)
+    return bijection_checks(sizes)
+
+
 @pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)])
-def test_rotation_closure_sees_a_missing_rotation(comp):
+def test_rotation_closure_sees_a_missing_rotation(monkeypatch, comp):
+    # block 1's first sequence, then each of its turns, one in each later
+    # block, is dropped on its own
     sizes = SizeVector(comp)
     m = sizes.circle_size
-    parking = naive_parking_set(sizes, "circular")
-    assert _rotation_closed(parking, m)
-    first = min(parking)
-    for a in range(1, m):
+    first = min(naive_parking_set(sizes, "circular"))
+    assert report_without(monkeypatch, sizes, set()).rotation_invariant
+    for a in range(m):
         rotated = rotate(sizes, PrefSequence(first, "circular"), a).prefs
-        assert not _rotation_closed(parking - {rotated}, m)
+        report = report_without(monkeypatch, sizes, {rotated})
+        assert not report.rotation_invariant
+        assert report.circular_parking_sequences == count_circular(sizes) - 1
+        assert not report.image_equals_circular_set
 
 
 @pytest.mark.parametrize("comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2)], ids=str)
-def test_rotation_closure_of_the_circular_dict(comp):
-    # bijection_checks passes its dict of circular parking sequences
+def test_rotation_closure_of_the_circular_dict(monkeypatch, comp):
+    # the last sequence the circular walk yields, in block M, is dropped
     sizes = SizeVector(comp)
-    m = sizes.circle_size
-    circular = {p: s for p, s, _ in _parking_states(sizes, "circular")}
-    assert _rotation_closed(circular, m)
-    del circular[max(circular)]
-    assert not _rotation_closed(circular, m)
+    last = max(naive_parking_set(sizes, "circular"))
+    assert last[0] == sizes.circle_size
+    report = report_without(monkeypatch, sizes, {last})
+    assert not report.rotation_invariant
+    assert report.circular_parking_sequences == count_circular(sizes) - 1
 
 
-@pytest.mark.parametrize("m", [1, 2, 5])
-def test_rotation_closure_of_an_empty_collection(m):
-    assert _rotation_closed(set(), m)
-    assert _rotation_closed({}, m)
+@pytest.mark.parametrize("comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2)], ids=str)
+def test_rotation_closure_sees_a_missing_block(monkeypatch, comp):
+    # each block of car 1's preference is dropped whole on its own; the
+    # decodes that land in it then find nothing
+    sizes = SizeVector(comp)
+    parking = naive_parking_set(sizes, "circular")
+    for c in range(1, sizes.circle_size + 1):
+        block = {p for p in parking if p[0] == c}
+        assert len(block) == count_linear(sizes)
+        report = report_without(monkeypatch, sizes, block)
+        assert not report.rotation_invariant
+        assert report.circular_parking_sequences == len(parking) - len(block)
+        assert not report.decode_valid
+        assert not report.image_equals_circular_set
 
 
-def test_rotation_closure_with_one_spot_or_one_coordinate():
-    assert _rotation_closed({(1,)}, 1)
-    assert _rotation_closed({(1, 1, 1)}, 1)
-    assert _rotation_closed({(1,), (2,), (3,)}, 3)
-    assert not _rotation_closed({(1,), (2,)}, 3)
-    assert not _rotation_closed({(3,)}, 3)
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_rotation_closure_of_an_empty_collection(monkeypatch, size):
+    # every circular sequence dropped: the empty set is closed
+    sizes = SizeVector((size,))
+    report = report_without(monkeypatch, sizes, naive_parking_set(sizes, "circular"))
+    assert report.circular_parking_sequences == 0
+    assert report.rotation_invariant
+    assert not report.decode_valid
+    assert not report.restriction_matches_linear_set
 
 
-def test_rotation_closure_checks_every_chunk():
-    # the whole domain [1, 17]^3 but (1, 1, 1), in lexicographic order: the
-    # one tuple whose turn is missing, (17, 17, 17), comes last, after the
-    # first chunk, so a check of the first chunk alone would pass
-    m = 17
-    tuples = dict.fromkeys(itertools.product(range(1, m + 1), repeat=3))
-    assert _rotation_closed(tuples, m)
-    del tuples[(1, 1, 1)]
-    assert list(tuples).index((m, m, m)) >= parkseq.bruteforce._ROTATION_CHUNK
-    assert not _rotation_closed(tuples, m)
+def test_rotation_closure_with_one_coordinate(monkeypatch):
+    for size in (1, 2, 4):
+        sizes = SizeVector((size,))
+        parking = naive_parking_set(sizes, "circular")
+        assert parking == {(c,) for c in range(1, size + 2)}
+        assert report_without(monkeypatch, sizes, set()).rotation_invariant
+        for p in parking:
+            report = report_without(monkeypatch, sizes, {p})
+            assert not report.rotation_invariant
+            assert report.circular_parking_sequences == size
 
 
 @st.composite
-def tuple_sets(draw):
-    # unions of whole rotation orbits with some tuples dropped, so that
+def dropped_sequences(draw):
+    # whole rotation orbits with some single sequences dropped, so that
     # closed and unclosed sets are both drawn often
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 5))
-    domain = list(itertools.product(range(1, m + 1), repeat=n))
-    seeds = draw(st.lists(st.sampled_from(domain), max_size=6))
-    orbits = {
-        tuple((c - 1 + a) % m + 1 for c in p) for p in seeds for a in range(m)
-    }
-    dropped = draw(st.lists(st.sampled_from(domain), max_size=2))
-    return orbits - set(dropped), m
+    sizes = SizeVector(draw(st.sampled_from(list(compositions(3, 4)))))
+    m = sizes.circle_size
+    parking = sorted(naive_parking_set(sizes, "circular"))
+    seeds = draw(st.lists(st.sampled_from(parking), max_size=3))
+    singles = draw(st.lists(st.sampled_from(parking), max_size=2))
+    return sizes, {_turn(p, a, m) for p in seeds for a in range(m)} | set(singles)
 
 
-@given(tuple_sets())
+@given(dropped_sequences())
 def test_one_step_rotation_closure_equals_every_rotation(case):
-    tuples, m = case
+    # the block-against-block-1 check reads as closure under every turn
+    sizes, dropped = case
+    m = sizes.circle_size
+    kept = naive_parking_set(sizes, "circular") - dropped
     literal = all(
-        tuple((c - 1 + a) % m + 1 for c in p) in tuples
-        for p in tuples
+        tuple((c - 1 + a) % m + 1 for c in p) in kept
+        for p in kept
         for a in range(m)
     )
-    assert _rotation_closed(tuples, m) == literal
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        report = report_without(monkeypatch, sizes, dropped)
+    assert report.rotation_invariant == literal
+    assert report.circular_parking_sequences == len(kept)
+
+
+@pytest.mark.parametrize(
+    "comp, distinct",
+    [((1,), 2), ((3,), 4), ((1, 2), 8), ((2, 2), 15), ((2, 1, 2), 144),
+     ((1, 2, 1), 95), ((3, 1, 2), 245)],
+    ids=str,
+)
+def test_decode_witness_sees_car_1_preferring_2(monkeypatch, comp, distinct):
+    # the first walk has car 1 prefer spot 2 but still park at spot 1, so
+    # its turn by c - 2 decodes into block c with car 1 parked one spot
+    # before its preference: none of its M decodes is valid, and with two
+    # or more cars each of them repeats another walk's decode here
+    sizes = SizeVector(comp)
+
+    def prefer_2(*args):
+        prefs, starts = _walk(*args)
+        return (2,) + prefs[1:], starts
+
+    report = report_with_first_walk(monkeypatch, sizes, prefer_2)
+    one_car = sizes.n == 1
+    assert report.option_sequences == count_circular(sizes)
+    assert report.distinct_decodes == distinct
+    assert report.circular_parking_sequences == count_circular(sizes)
+    assert report.linear_parking_sequences == count_linear(sizes)
+    assert not report.decode_valid
+    assert report.decode_injective is one_car
+    assert report.image_equals_circular_set is one_car
+    assert report.image_count_matches_formula is one_car
+    assert report.restriction_matches_linear_set
+    assert report.rotation_invariant
+
+
+@pytest.mark.parametrize(
+    "comp, whole_set_mib", [((248, 1), 11.7), ((498, 1), 56.6)], ids=str
+)
+def test_bijection_checks_hold_one_block_at_a_time(comp, whole_set_mib):
+    # holding the whole circular set and image peaked at 11.7 and 56.6 MiB
+    # (tracemalloc, Python 3.11); one block at a time must take a tenth
+    tracemalloc.start()
+    try:
+        report = bijection_checks(SizeVector(comp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak <= whole_set_mib / 10 * 2**20

@@ -34,6 +34,7 @@ from parkseq import (
 )
 from parkseq.cli import main
 from parkseq.circular import _turn
+from parkseq.counting import _option_counts
 from parkseq.divider import _walk
 from conftest import (
     naive_free_spots,
@@ -292,6 +293,38 @@ class TestSamplers:
         sizes = SizeVector((1, 2))
         rng = Random(seed)
         assert is_parking_sequence(sizes, sample_linear(sizes, rng))
+
+
+class ScriptedRandom(Random):
+    """A generator that answers a fixed code tuple, one code per car:
+    randrange(k) checks that k is the next car's option count and returns
+    that car's code."""
+
+    def __init__(self, sizes, codes):
+        super().__init__(0)
+        self.script = list(zip(_option_counts(sizes), codes))
+
+    def randrange(self, k, *rest):
+        assert not rest
+        count, code = self.script.pop(0)
+        assert k == count
+        return code
+
+
+@pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
+def test_every_code_tuple_draws_each_parking_sequence_equally_often(comp):
+    # the exact form of uniformity: the samplers, fed every code tuple once,
+    # hit each circular parking sequence once and each linear one M times
+    sizes = SizeVector(comp)
+    drawn = {sample_circular: Counter(), sample_linear: Counter()}
+    for codes in option_codes(sizes):
+        for sample, counts in drawn.items():
+            rng = ScriptedRandom(sizes, codes)
+            counts[sample(sizes, rng).prefs] += 1
+            assert not rng.script  # one draw per car
+    circular, linear = (naive_parking_set(sizes, f) for f in ("circular", "linear"))
+    assert drawn[sample_circular] == dict.fromkeys(circular, 1)
+    assert drawn[sample_linear] == dict.fromkeys(linear, sizes.circle_size)
 
 
 def random_composition(rng, total, parts):
