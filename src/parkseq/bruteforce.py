@@ -156,11 +156,13 @@ def verify(
 
     `partitions` splits the first coordinate into contiguous blocks whose
     tallies are summed; the merged report is identical for any partition
-    count (asserted by the tests).
+    count (asserted by the tests). Past one block per first coordinate a
+    block would be empty, so at most `base` blocks are made.
     """
     _ints((partitions,), "partitions must be >= 1, got {!r}")
     base, wrap = _check_budget(sizes, flavor, budget)
-    bounds = [1 + (base * k) // partitions for k in range(partitions + 1)]
+    k = min(partitions, base)
+    bounds = [1 + (base * i) // k for i in range(k + 1)]
     tallies = [_tally(sizes, flavor, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
     parked, collisions, past_end = map(sum, zip(*tallies))
     formula = count_circular(sizes) if wrap else count_linear(sizes)

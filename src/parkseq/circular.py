@@ -54,32 +54,28 @@ def rotate(sizes: SizeVector, prefs: PrefSequence, a: int) -> PrefSequence:
 def empty_spot(layout: Layout) -> int:
     """The unique unoccupied spot of a complete circular layout.
 
-    Each block is cut at M into at most two segments of [1, M]; the spots
-    no segment covers are read off the sorted segments.
+    One pass over the blocks sorted by start, with spots [1, end] covered:
+    at first the part of the last block that runs past M. A block that
+    starts at or before end overlaps, and the ValueError names its start;
+    the one that starts past end + 1 leaves the gap, and with none the gap
+    is spot M. The blocks cover T of the M = T + 1 spots, so exactly one
+    is free iff no two overlap.
     """
     if layout.flavor != "circular":
         raise ValueError("empty_spot is defined for circular layouts only")
     m = layout.sizes.circle_size
-    segments = []
-    for s, y in zip(layout.starts, layout.sizes.sizes):
+    blocks = sorted(zip(layout.starts, layout.sizes.sizes))
+    s, y = blocks[-1]
+    end = max(s + y - 1 - m, 0)
+    spot = m
+    for s, y in blocks:
+        if s <= end:
+            raise ValueError(
+                f"expected exactly one empty spot, blocks overlap at spot {s}"
+            )
+        if s > end + 1:
+            spot = end + 1
         end = s + y - 1
-        if end <= m:
-            segments.append((s, end))
-        else:
-            segments.append((s, m))
-            segments.append((1, end - m))
-    segments.sort()
-    segments.append((m + 1, m + 1))  # sentinel: closes the last gap
-    free = 0
-    spot = 0
-    covered = 0  # every spot in [1, covered] lies in some segment seen
-    for s, end in segments:
-        if s > covered + 1:
-            free += s - covered - 1
-            spot = covered + 1
-        covered = max(covered, end)
-    if free != 1:
-        raise ValueError(f"expected exactly one empty spot, found {free}")
     return spot
 
 

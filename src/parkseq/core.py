@@ -83,7 +83,8 @@ class Layout:
     A car of size y starting at s covers s, s+1, ..., s+y-1; on a circular
     lot the spots are taken mod M into [1, M]. Each start is an exact int
     on the lot, in [1, T] or [1, M], `bool` refused, and on the line each
-    block ends at or before spot T. Blocks are not checked for overlap.
+    block ends at or before spot T. Blocks are not checked for overlap
+    here; `circular.empty_spot` refuses overlapping blocks by name.
     """
 
     sizes: SizeVector

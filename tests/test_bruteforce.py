@@ -185,6 +185,17 @@ class TestVerify:
     def test_more_partitions_than_prefixes(self):
         sizes = SizeVector((1, 1))
         assert verify(sizes, partitions=10) == verify(sizes)
+        # past one block per first coordinate a block would be empty, and
+        # none is made: 10**8 partitions of base 3 cost what 3 do
+        sizes = SizeVector((2, 1))
+        tracemalloc.start()
+        try:
+            report = verify(sizes, partitions=10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == verify(sizes)
+        assert peak < 2**20
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as exc_info:

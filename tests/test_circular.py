@@ -1,4 +1,7 @@
 import itertools
+import re
+from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -121,12 +124,56 @@ class TestEmptySpot:
         assert naive_free_spots(layout) == {3}
         assert empty_spot(layout) == 3
 
-    def test_overlapping_blocks_report_the_true_free_count(self):
-        # M = 8: cars cover 1-3, 2-3 and 7, 8, 1; spots 4, 5, 6 stay free
-        layout = Layout(SizeVector((3, 2, 2)), (1, 2, 7), "circular")
-        assert naive_free_spots(layout) == {4, 5, 6}
-        with pytest.raises(ValueError, match="found 3$"):
+    @pytest.mark.parametrize(
+        "starts, spot",
+        [((1, 4), 6), ((2, 5), 1)],  # M = 6: blocks 1-3, 4-5 and 2-4, 5-6
+        ids=["gap-at-m", "gap-at-1"],
+    )
+    def test_gap_at_an_end(self, starts, spot):
+        layout = Layout(SizeVector((3, 2)), starts, "circular")
+        assert naive_free_spots(layout) == {spot}
+        assert empty_spot(layout) == spot
+
+    @pytest.mark.parametrize(
+        "sizes, starts, free, spot",
+        [
+            # M = 8: cars cover 1-3, 2-3 and 7, 8, 1; car 2's start is the
+            # first spot found covered twice
+            ((3, 2, 2), (1, 2, 7), {4, 5, 6}, 2),
+            # M = 7: car 1 covers 1, 2; car 2, not the last by start,
+            # wraps onto it on 6, 7, 1; car 3 covers 7
+            ((2, 3, 1), (1, 6, 7), {3, 4, 5}, 7),
+        ],
+        ids=["at-spot-2", "not-last-wraps-onto-first"],
+    )
+    def test_overlapping_blocks_name_the_overlap(self, sizes, starts, free, spot):
+        layout = Layout(SizeVector(sizes), starts, "circular")
+        assert naive_free_spots(layout) == free
+        with pytest.raises(ValueError, match=f"blocks overlap at spot {spot}$"):
             empty_spot(layout)
+
+    def test_agrees_with_the_reference_on_random_layouts(self):
+        # any starts, so most layouts overlap: empty_spot refuses exactly
+        # those the reference finds more than one free spot in, and names
+        # a spot that two blocks cover
+        rng = Random(2022)
+        for _ in range(10**4):
+            sizes = SizeVector([rng.randint(1, 4) for _ in range(rng.randint(1, 5))])
+            m = sizes.circle_size
+            layout = Layout(sizes, [rng.randint(1, m) for _ in range(sizes.n)], "circular")
+            free = naive_free_spots(layout)
+            if len(free) == 1:
+                assert empty_spot(layout) == free.pop()
+                continue
+            with pytest.raises(ValueError, match=r"overlap at spot (\d+)$") as exc:
+                empty_spot(layout)
+            spot = int(re.search(r"(\d+)$", str(exc.value)).group(1))
+            covers = Counter(
+                (s - 1 + k) % m + 1
+                for s, y in zip(layout.starts, sizes.sizes)
+                for k in range(y)
+            )
+            assert covers[spot] >= 2
 
     def test_matches_the_spot_by_spot_reference(self):
         # the layout of every circular parking sequence with n <= 4, T <= 8,

@@ -94,6 +94,42 @@ def anchor_walks(prefix, rest):
     return walks
 
 
+def encode(prefix, prefs, starts):
+    """The divider's inverse, read off a parking: the codes (r_2, ..., r_n)
+    of cars 2..n whose walk, turned by any anchor, is (prefs, starts). The
+    parking is first turned to put car 1 at spot 1, so no block wraps. Car
+    i's cell is then the rank of its start among the starts and the empty
+    spot. A car that prefers its own start picked its cell directly, and
+    its code is that cell's index among the cells still open; otherwise it
+    prefers spot k (0-based) of car j's block, so its code is n + 2 - i +
+    prefix[j] + k, with j 0-based, and its cell must be the next open cell
+    clockwise after car j's."""
+    n = len(prefix) - 1
+    m = prefix[n] + 1
+    sizes = [prefix[j + 1] - prefix[j] for j in range(n)]
+    shift = starts[0] - 1
+    prefs = [wrap_spot(x - shift, m) for x in prefs]
+    starts = [wrap_spot(s - shift, m) for s in starts]
+    (empty,) = set(range(1, m + 1)) - {
+        s + k for s, y in zip(starts, sizes) for k in range(y)
+    }
+    cells = sorted([*starts, empty])
+    open_cells = list(range(1, n + 1))
+    codes = []
+    for i in range(2, n + 1):
+        x, s = prefs[i - 1], starts[i - 1]
+        cell = cells.index(s)
+        if x == s:
+            codes.append(open_cells.index(cell))
+        else:
+            j = next(j for j in range(n) if starts[j] <= x < starts[j] + sizes[j])
+            codes.append(n + 2 - i + prefix[j] + x - starts[j])
+            target = cells.index(starts[j])
+            assert cell == next((q for q in open_cells if q > target), open_cells[0])
+        open_cells.remove(cell)
+    return tuple(codes)
+
+
 class TestDecode:
     def test_cruise_on_first_car(self):
         prefs, layout = decode(
@@ -204,6 +240,32 @@ class TestOptionEnumeration:
             prefs, starts = _walk(prefix, rest)
             turned = [(_turn(prefs, a, m), _turn(starts, a, m)) for a in range(m)]
             assert turned == anchor_walks(prefix, rest)
+
+    def test_encode_inverts_the_walk(self):
+        # every code tuple of cars 2..n with n <= 4, T <= 8: 22,948 walks
+        walks = 0
+        for comp in compositions(4, 8):
+            sizes = SizeVector(comp)
+            prefix = tuple(itertools.accumulate(comp, initial=0))
+            counts = [option_count(sizes, i) for i in range(2, sizes.n + 1)]
+            for rest in itertools.product(*map(range, counts)):
+                assert encode(prefix, *_walk(prefix, rest)) == rest
+                walks += 1
+        assert walks == 22_948
+
+    def test_encode_inverts_decode(self):
+        # every option sequence, every anchor, with n <= 4, T <= 6
+        decoded = 0
+        for comp in compositions(4, 6):
+            sizes = SizeVector(comp)
+            prefix = tuple(itertools.accumulate(comp, initial=0))
+            options = enumerate_option_sequences(sizes)
+            for codes, opts in zip(option_codes(sizes), options, strict=True):
+                prefs, layout = decode(sizes, opts)
+                rest = encode(prefix, prefs.prefs, layout.starts)
+                assert (layout.starts[0] - 1, *rest) == codes
+                decoded += 1
+        assert decoded == 23_798
 
     def test_per_car_choice_counts(self):
         sizes = SizeVector((2, 5, 1, 3, 2))
