@@ -6,14 +6,13 @@ the closed-form count. The tally walks reachable occupancy states instead
 of materializing each tuple (a failed prefix fails every extension the
 same way, and distinct prefixes with equal occupancy behave identically
 from then on), which gives per-tuple-exact tallies without per-tuple work.
-Within a state, preferences are grouped by the free spot they cruise to,
-so each state costs its number of free spots, not the lot size, each one
-lookup in a block table built once per car.
+Within a state, one mask finds the starts where the car's block fits, so
+a state costs that mask plus one step per fitting start, not the lot size.
 The tests cross-check it against a literal one-simulation-per-tuple loop.
 Each flavor's lot is read from `core._lot`, which refuses unknown ones.
 
 The parking sequences themselves are listed by a depth-first walk over
-the prefixes that parked, which reads the tally's per-car block tables
+the prefixes that parked, which reads a block table (`_blocks`) per car
 once per free spot and never extends a failed prefix. It yields them in
 lexicographic order, so the bijection checks take them block by block.
 """
@@ -89,61 +88,62 @@ def _tally(
     """Classify every tuple whose first coordinate lies in [first_lo, first_hi].
 
     Returns (parked, collisions, past_end). Tuples are aggregated by the
-    occupancy state they reach; counts are exact integers. A car's outcome
-    depends only on the free spot its preference cruises to, and the
-    preferences that reach free spot j are those in (previous free spot, j],
-    so each state costs one lookup in the car's block table (`_blocks`) per
-    free spot, weighted by j - previous. On the circle the first free spot
-    also takes the wrapped trailing run; on the line the trailing run
-    cruises past the end. The first car meets an empty lot, where each
-    preference in [first_lo, first_hi] is its own free spot, and an empty
-    range, first_lo > first_hi, tallies nothing. Failed reach is weighted
-    by the later cars' choices once per depth.
+    occupancy state they reach; counts are exact integers. The preferences
+    in (previous free spot, j] cruise to free spot j, and the car parks if
+    its block fits there. So a state costs one mask of the starts that fit
+    (free spots ANDed over ceil(log2 y) doubling shifts; on the circle over
+    three laps, read on the middle one, so that a block past M wraps and
+    the first free spot takes the wrapped trailing run) plus one step per
+    fitting start. On the line the preferences above the highest free spot
+    whose block ends in the lot run past the end; all other reach that
+    meets no fitting start collides. The first car meets an empty lot,
+    where each preference in [first_lo, first_hi] is its own free spot
+    (none if first_lo > first_hi). The last car builds no block table
+    (`_blocks`): its parked reach stays keyed by the state it came from.
     """
     n = sizes.n
     base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
-
-    parked = collisions = past_end = 0
-    states: dict[int, int] = {0: 1}
-    for depth, size in enumerate(sizes.sizes):
-        blocks = _blocks(size, base, wrap)
-        last_car = depth == n - 1
-        collided = ended = 0
+    first, *rest = sizes.sizes
+    starts = range(first_lo, min(first_hi, base if wrap else base - first + 1) + 1)
+    past_end = (max(0, first_hi - first_lo + 1) - len(starts)) * base ** (n - 1)
+    if n == 1:
+        return len(starts), 0, past_end
+    blocks = _blocks(first, base, wrap)
+    states = {blocks[j]: 1 for j in starts}
+    collisions = 0
+    lap = base if wrap else 0  # the offset of the lap the starts are read on
+    laps = 1 | 1 << base | 1 << 2 * base if wrap else 1
+    for car, size in enumerate(rest, 2):
+        # the last car's parked reach stays keyed by the state it came from
+        blocks = [0] * lap + (_blocks(size, base, wrap) if car < n else [0] * (base + 1))
+        shifts = [min(1 << k, size - (1 << k)) for k in range((size - 1).bit_length())]
+        room = full << base if wrap else full >> size - 1
+        tried = 0  # reach that does not run past the end
         nxt: dict[int, int] = {}
         for mask, count in states.items():
-            if depth == 0:
-                free = max(0, (1 << first_hi) - (1 << (first_lo - 1)))
-                prev = first_lo - 1
-            else:
-                free = full & ~mask
-                last = free.bit_length()
-                if wrap:  # the run after the last free spot wraps to the first
-                    prev = last - base
-                else:  # the run after the last free spot cruises past the end
-                    prev = 0
-                    ended += count * (base - last)
-            while free:
-                low = free & -free
-                free ^= low
+            free = full & ~mask
+            fits = ring = free * laps
+            for shift in shifts:  # the starts whose whole block is free
+                fits &= fits >> shift
+            if wrap:  # keep the middle lap
+                fits &= room
+            else:  # above the last free start whose block ends in the lot, past the end
+                tried += count * (free & room).bit_length()
+            while fits:
+                low = fits & -fits
+                fits ^= low
                 j = low.bit_length()
-                reach = count * (j - prev)
-                prev = j
-                block = blocks[j]
-                if not block:
-                    ended += reach
-                elif mask & block:
-                    collided += reach
-                elif last_car:
-                    parked += reach
-                else:
-                    block |= mask
-                    nxt[block] = nxt.get(block, 0) + reach
-        weight = base ** (n - depth - 1)
-        collisions += collided * weight
-        past_end += ended * weight
+                reach = count * (j - (ring & (low - 1)).bit_length())
+                block = mask | blocks[j]
+                nxt[block] = nxt.get(block, 0) + reach
+        total = base * sum(states.values())
+        if wrap:
+            tried = total
+        collisions += (tried - sum(nxt.values())) * base ** (n - car)
+        past_end += (total - tried) * base ** (n - car)
         states = nxt
-    return parked, collisions, past_end
+    return sum(states.values()), collisions, past_end
 
 
 def verify(

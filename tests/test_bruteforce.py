@@ -151,7 +151,51 @@ def test_tally_at_the_oracle_edge(comp, flavor):
         assert _tally(sizes, flavor, lo, hi) == (0, 0, 0)
 
 
+# the fits mask of the tally: sizes whose doubling shifts are not powers of
+# two, and blocks that wrap past M on the circle, over edge ranges of the
+# first coordinate, the empty one (3, 2) among them
+@pytest.mark.parametrize("flavor", ["linear", "circular"])
+@pytest.mark.parametrize(
+    "comp", [(5, 1), (1, 5), (3, 3), (6, 1, 1), (1, 1, 6), (3, 2, 3), (7,)], ids=str
+)
+def test_tally_fits_mask_matches_prefix_reference(comp, flavor):
+    sizes = SizeVector(comp)
+    base = sizes.total if flavor == "linear" else sizes.circle_size
+    for lo, hi in ((1, base), (1, 1), (base, base), (2, base - 1), (3, 2)):
+        assert _tally(sizes, flavor, lo, hi) == \
+            naive_prefix_tally(sizes, flavor, lo, hi)
+
+
+@pytest.mark.parametrize("flavor", ["linear", "circular"])
+@pytest.mark.parametrize("comp", [(4,), (2, 1), (1, 2, 3), (2, 2, 1, 1)], ids=str)
+def test_tally_builds_no_block_table_for_the_last_car(monkeypatch, comp, flavor):
+    # the last car's reach is summed, so n cars build n - 1 tables
+    blocks = parkseq.bruteforce._blocks
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return blocks(*args)
+
+    monkeypatch.setattr(parkseq.bruteforce, "_blocks", counting)
+    assert verify(SizeVector(comp), flavor).match
+    assert calls == len(comp) - 1
+
+
 class TestVerify:
+    def test_one_car_circular_holds_no_block_table(self):
+        # a block table of one car on M = 20001 spots took 51.9 MiB
+        tracemalloc.start()
+        try:
+            report = verify(SizeVector((20000,)), "circular")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.parked, report.collisions, report.past_end) == (20001, 0, 0)
+        assert report.match
+        assert peak < 2**20
+
     def test_circular_two_by_two(self):
         report = verify(SizeVector((2, 2)), "circular")
         assert report.total_tuples == 25

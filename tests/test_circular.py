@@ -14,14 +14,13 @@ from parkseq import (
     PrefSequence,
     SizeVector,
     compositions,
-    decode,
     empty_spot,
-    enumerate_option_sequences,
     restrict_to_linear,
     rotate,
     simulate_circular,
     wrap_spot,
 )
+from parkseq.bruteforce import _parking_states
 from parkseq.circular import _turn
 from conftest import naive_free_spots, naive_parking_set
 
@@ -176,16 +175,19 @@ class TestEmptySpot:
             assert covers[spot] >= 2
 
     def test_matches_the_spot_by_spot_reference(self):
-        # the layout of every circular parking sequence with n <= 4, T <= 8,
-        # reached by decoding every option sequence (a bijection onto the
-        # circular parking sequences, tested in test_divider)
+        # the layout of every circular parking sequence with n <= 4, T <= 8:
+        # the starts that the brute-force walk parks each sequence at
+        distinct = 0
         for comp in compositions(4, 8):
             sizes = SizeVector(comp)
-            layouts = {decode(sizes, opts)[1] for opts in enumerate_option_sequences(sizes)}
-            for layout in layouts:
+            layouts = {starts for _, starts, _ in _parking_states(sizes, "circular")}
+            distinct += len(layouts)
+            for starts in layouts:
+                layout = Layout(sizes, starts, "circular")
                 free = naive_free_spots(layout)
                 assert len(free) == 1
                 assert empty_spot(layout) == free.pop()
+        assert distinct == 16816
 
 
 class TestRestrictToLinear:
