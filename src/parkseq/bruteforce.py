@@ -309,7 +309,7 @@ def bijection_checks(
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
     codes = itertools.product(*map(range, _option_counts(sizes)[1:]))
     walks: dict[int, list[tuple[int, ...]]] = {}
-    for prefs, starts in (_walk(prefix, r) for r in codes):
+    for prefs, starts, _ in (_walk(prefix, r) for r in codes):
         walks.setdefault(prefs[0], []).append(prefs + starts)
     total = m * sum(map(len, walks.values()))
     # by car 1's preference: n preference columns, then n start columns

@@ -18,15 +18,17 @@ i), direct picks first, then cruise targets in (car, offset) order. Moving
 car 1's anchor by one spot turns the whole decoded sequence by one spot,
 which is why the circular count is M times the linear one, and the core
 is written that way: one private walk, `_walk`, puts cars 2..n into cells
-from their codes with car 1 at spot 1, and car 1's code a then turns its
-(preferences, starts) by a spots (`circular._turn`). The samplers draw
-each code uniformly over its option count and walk and turn the codes
-directly; no option object is built. `decode` checks an OptionSequence and
-turns it into codes; `bruteforce.bijection_checks` walks each code tuple
-of cars 2..n once and turns all the walks at once into each block of car
-1's preference, a block at a time.
-The linear draw is the walk turned so its empty spot lands on M; car 1's
-code cancels out, nothing is simulated, and the tests check the turn
+from their codes with car 1 at spot 1 and reads off the spot its open cell
+holds, and car 1's code a then turns its (preferences, starts) by a spots
+(`circular._turn`). The samplers draw each code uniformly over its option
+count and walk and turn the codes directly; no option object is built.
+`decode` checks an OptionSequence and turns it into codes;
+`bruteforce.bijection_checks` walks each code tuple of cars 2..n once and
+turns all the walks at once into each block of car 1's preference, a
+block at a time.
+The linear draw is the walk turned so its empty spot e, which the walk
+returns, lands on M: a turn by M - e. Car 1's code cancels out, no Layout
+is built, nothing is simulated or searched, and the tests check the turn
 against rotate + restrict_to_linear.
 """
 
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence, Union
 
+# empty_spot is unused here; only perfbench's uninstall test reads it
 from .circular import _turn, empty_spot
 from .core import Layout, PrefSequence, SizeVector, _ints
 from .counting import _option_counts
@@ -77,15 +80,16 @@ class OptionSequence:
 
 def _walk(
     prefix: Sequence[int], rest: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The divider with car 1 at spot 1: the (preferences, starts) that the
-    codes rest = (r_2, ..., r_n) of cars 2..n give, where prefix[k] = y_1 +
-    ... + y_k. Car i's code r picks the (r + 1)-th open cell when r < n + 2
-    - i, and else cruises on spot r - (n + 2 - i) of the cars before i,
-    counted in (car, offset) order: it takes the next open cell clockwise
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The divider with car 1 at spot 1: the (preferences, starts, e) that
+    the codes rest = (r_2, ..., r_n) of cars 2..n give, where prefix[k] =
+    y_1 + ... + y_k. Car i's code r picks the (r + 1)-th open cell when r <
+    n + 2 - i, and else cruises on spot r - (n + 2 - i) of the cars before
+    i, counted in (car, offset) order: it takes the next open cell clockwise
     after that car's cell. The cells are then walked from spot 1, car 1's
     first; a car cell spans its size and the one open cell spans the empty
-    spot. They span M spots in all, so nothing wraps. Nothing is checked."""
+    spot, e. They span M spots in all, so nothing wraps. Nothing is
+    checked."""
     n = len(prefix) - 1
     cells = [1] + [0] * n  # the car in each cell, clockwise; 0 is open
     cell_of = [0] * n
@@ -116,8 +120,9 @@ def _walk(
             starts[car - 1] = spot
             spot += prefix[car] - prefix[car - 1]
         else:
+            e = spot
             spot += 1
-    return tuple([starts[j] + k for j, k in aim]), tuple(starts)
+    return tuple([starts[j] + k for j, k in aim]), tuple(starts), e
 
 
 def decode(
@@ -153,7 +158,7 @@ def decode(
         else:
             raise ValueError(f"car {i}: unknown option {opt!r}")
 
-    prefs, starts = (_turn(x, opts.anchor - 1, m) for x in _walk(prefix, rest))
+    prefs, starts = (_turn(x, opts.anchor - 1, m) for x in _walk(prefix, rest)[:2])
     return PrefSequence(prefs, "circular"), Layout(sizes, starts, "circular")
 
 
@@ -181,10 +186,10 @@ def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
 
 def _draw(
     sizes: SizeVector, rng: Random
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
     """Draw one code per car, each uniformly over its option count, and
     return car 1's code, its anchor spot minus one, with `_walk`'s
-    (preferences, starts) of the others."""
+    (preferences, starts, empty spot) of the others."""
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
     a, *rest = [rng.randrange(k) for k in _option_counts(sizes)]
     return a, *_walk(prefix, rest)
@@ -197,7 +202,7 @@ def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
     turned by car 1's code; decoding is injective, so all outputs have
     equal probability.
     """
-    a, prefs, _ = _draw(sizes, rng)
+    a, prefs, _, _ = _draw(sizes, rng)
     return PrefSequence(_turn(prefs, a, sizes.circle_size), "circular")
 
 
@@ -207,10 +212,11 @@ def sample_linear(sizes: SizeVector, rng: Random) -> PrefSequence:
     The circular draw is turned so its empty spot e lands on M: that picks
     the unique such representative of its rotation orbit, and orbits all
     have size M, so uniformity is preserved. Car 1's code turns the whole
-    draw, so it cancels out and the walk is turned by M - e; it is still
-    drawn, so a seeded generator yields the same draws. Nothing is parked
-    again.
+    draw, so it cancels out and the walk is turned by M - e, with e read
+    off the walk's open cell; car 1's code is still drawn, so a seeded
+    generator yields the same draws. No Layout is built, and nothing is
+    parked again or searched.
     """
-    _, prefs, starts = _draw(sizes, rng)
-    e, m = empty_spot(Layout(sizes, starts, "circular")), sizes.circle_size
+    _, prefs, _, e = _draw(sizes, rng)
+    m = sizes.circle_size
     return PrefSequence(_turn(prefs, m - e, m), "linear")

@@ -479,7 +479,7 @@ WITNESS_CASES = [(1, 2), (2, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]
 
 
 def report_with_first_walk(monkeypatch, sizes, corrupt):
-    """bijection_checks with the first (prefs, starts) pair that `_walk`
+    """bijection_checks with the first (prefs, starts, e) that `_walk`
     returns (cars 2..n all on code 0) replaced by corrupt(prefix, rest),
     which may call `_walk` itself; every anchor turns that one pair."""
     calls = 0
@@ -501,8 +501,8 @@ def test_decode_witness_sees_a_moved_start(monkeypatch, comp):
     m = sizes.circle_size
 
     def move_first_start(*args):
-        prefs, starts = _walk(*args)
-        return prefs, (starts[0] % m + 1,) + starts[1:]
+        prefs, starts, e = _walk(*args)
+        return prefs, (starts[0] % m + 1,) + starts[1:], e
 
     report = report_with_first_walk(monkeypatch, sizes, move_first_start)
     assert not report.decode_valid
@@ -518,7 +518,8 @@ def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
     stray = min(set(domain) - naive_parking_set(sizes, "circular"))
 
     def stray_prefs(*args):
-        return stray, _walk(*args)[1]
+        _, starts, e = _walk(*args)
+        return stray, starts, e
 
     report = report_with_first_walk(monkeypatch, sizes, stray_prefs)
     assert not report.decode_valid
@@ -728,8 +729,8 @@ def test_decode_witness_sees_car_1_preferring_2(monkeypatch, comp, distinct):
     sizes = SizeVector(comp)
 
     def prefer_2(*args):
-        prefs, starts = _walk(*args)
-        return (2,) + prefs[1:], starts
+        prefs, starts, e = _walk(*args)
+        return (2,) + prefs[1:], starts, e
 
     report = report_with_first_walk(monkeypatch, sizes, prefer_2)
     one_car = sizes.n == 1

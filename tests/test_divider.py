@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from parkseq import (
     Cruise,
     Direct,
+    Layout,
     OptionSequence,
     Parked,
     SizeVector,
     compositions,
     count_circular,
     decode,
+    empty_spot,
     enumerate_option_sequences,
     is_parking_sequence,
     option_count,
@@ -51,7 +53,7 @@ def decode_codes(prefix, codes):
     """What decode makes of the codes (r_1, ..., r_n), prefix[k] = y_1 + ...
     + y_k: cars 2..n walked with car 1 at spot 1, then turned by r_1."""
     m = prefix[-1] + 1
-    prefs, starts = _walk(prefix, codes[1:])
+    prefs, starts, _ = _walk(prefix, codes[1:])
     return _turn(prefs, codes[0], m), _turn(starts, codes[0], m)
 
 
@@ -237,19 +239,24 @@ class TestOptionEnumeration:
         prefix = tuple(itertools.accumulate(comp, initial=0))
         counts = [option_count(sizes, i) for i in range(2, sizes.n + 1)]
         for rest in itertools.product(*map(range, counts)):
-            prefs, starts = _walk(prefix, rest)
+            prefs, starts, _ = _walk(prefix, rest)
             turned = [(_turn(prefs, a, m), _turn(starts, a, m)) for a in range(m)]
             assert turned == anchor_walks(prefix, rest)
 
     def test_encode_inverts_the_walk(self):
-        # every code tuple of cars 2..n with n <= 4, T <= 8: 22,948 walks
+        # every code tuple of cars 2..n with n <= 4, T <= 8: 22,948 walks,
+        # each also returning the empty spot of the layout it walked to
         walks = 0
         for comp in compositions(4, 8):
             sizes = SizeVector(comp)
             prefix = tuple(itertools.accumulate(comp, initial=0))
             counts = [option_count(sizes, i) for i in range(2, sizes.n + 1)]
             for rest in itertools.product(*map(range, counts)):
-                assert encode(prefix, *_walk(prefix, rest)) == rest
+                prefs, starts, e = _walk(prefix, rest)
+                assert encode(prefix, prefs, starts) == rest
+                layout = Layout(sizes, starts, "circular")
+                assert e == empty_spot(layout)
+                assert naive_free_spots(layout) == {e}
                 walks += 1
         assert walks == 22_948
 
@@ -435,8 +442,10 @@ class TestLinearShift:
 
         refuse_package_bindings(
             monkeypatch,
-            (simulate_circular, simulate_linear, restrict_to_linear, rotate),
-            "sample_linear must not park or rotate anything",
+            (simulate_circular, simulate_linear, restrict_to_linear, rotate,
+             empty_spot, Layout),
+            "sample_linear must not park, rotate, build a Layout or search for"
+            " the empty spot",
         )
         for (sizes, seed), linear in expected.items():
             assert sample_linear(sizes, Random(seed)) == linear
