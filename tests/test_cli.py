@@ -451,27 +451,6 @@ class TestSample:
         assert peak(10_000) - peak(100) < 2**19
 
 
-USAGE_ERRORS = {
-    "count --sizes 0,1": "car sizes must be positive integers, got 0",
-    "count --sizes 2,-1": "car sizes must be positive integers, got -1",
-    "count --sizes 2,x": "--sizes must be comma-separated integers, got '2,x'",
-    "simulate --sizes 2,2 --prefs 0,1": "preferences must be positive integers, got 0",
-    "simulate --sizes 2,2 --prefs 9,1": "preference 9 outside [1, 4]",
-    "simulate --sizes 2,2 --prefs 1,6 --circular": "preference 6 outside [1, 5]",
-    "verify --sizes 2,2 --budget 0": "budget must be >= 1, got 0",
-    "verify --max-cars 0 --max-total 3":
-        "sweep bounds must be >= 1, got max_n=0, max_total=3",
-    "sample --sizes 2,2 --count -1 --seed 1": "--count must be >= 0",
-    "bijection --sizes 2,2 --budget 0": "budget must be >= 1, got 0",
-}
-
-
-@pytest.mark.parametrize("argv", USAGE_ERRORS)
-def test_usage_error_bytes(capsys, argv):
-    # a usage error prints the library's ValueError text, byte for byte
-    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {USAGE_ERRORS[argv]}\n")
-
-
 # Calls that leave the parser in a different state if it kept any: argparse's
 # own exit, --json then text, --circular then linear, a set budget then the
 # default, and a seeded sample.

@@ -452,9 +452,21 @@ class TestLinearShift:
 
 
 class TestGoldenStreams:
-    """Seeded output recorded from the sampler that built every car's full
-    option list and indexed it; drawing option numbers must not change a
-    single draw."""
+    """Pinned outputs in golden_streams.json.
+
+    `samplers` holds seeded draws recorded from the sampler that built every
+    car's full option list and indexed it; drawing option numbers must not
+    change a single draw.
+
+    `cli` is the one list of pinned `parkseq` calls: each row's exit code,
+    stdout and stderr bytes at 80 columns. The rows cover the seeded
+    samples, the README's examples in text and --json, the bijection and
+    verify reports, budget refusals (exit 3), usage errors (exit 2) and
+    every --help text. test_cli_stdout runs them in-process, and
+    tests/cli_table.py runs them through the installed script. A new row is
+    appended, recorded from the program at the parent commit. An existing
+    row's bytes change only with a CHANGES.md line naming the behaviour
+    that changed. The table is never regenerated wholesale."""
 
     with open(GOLDEN) as f:
         golden = json.load(f)
@@ -473,16 +485,22 @@ class TestGoldenStreams:
 
     @pytest.mark.parametrize("case", golden["cli"], ids=lambda c: " ".join(c["argv"]))
     def test_cli_stdout(self, case, monkeypatch):
-        # exit code and stdout bytes of seeded sample calls, of the README's
-        # CLI examples in text and --json, of budget refusals (exit 3), and
-        # of every --help text (argparse's SystemExit(0)), wrapped at 80
-        # columns whatever the terminal
+        # --help wraps at 80 columns whatever the terminal, and exits
+        # through argparse's SystemExit(0)
         monkeypatch.setenv("COLUMNS", "80")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(case["argv"])
             except SystemExit as exc:
                 code = exc.code
         assert code == case["exit_code"]
         assert out.getvalue() == case["stdout"]
+        assert err.getvalue() == case["stderr"]
+
+    def test_cli_rows_are_well_formed(self):
+        rows = self.golden["cli"]
+        assert all(
+            set(row) == {"argv", "exit_code", "stdout", "stderr"} for row in rows
+        )
+        assert len({tuple(row["argv"]) for row in rows}) == len(rows)
