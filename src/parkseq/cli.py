@@ -238,9 +238,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `parkseq` parser, built once per process, on the first `main`
-    call, and reused by every later one; nothing is built at import.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `parkseq` parser and each subcommand's own parser by name (the
+    `choices` of its subparsers action), built once per process, on the
+    first `main` call, and reused by every later one; nothing is built at
+    import.
 
     Each subcommand's `cmd_*` is bound through `set_defaults(func=...)`
     when the parser is built, so patching `cli.cmd_*` after that first
@@ -296,12 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="random seed (mandatory)")
     p.set_defaults(func=cmd_sample)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one `parkseq` call; `argv` defaults to `sys.argv[1:]`.
+
+    A call that starts with a subcommand is parsed once, by that
+    subcommand's parser. The top-level parser parses only the argv that do
+    not start with one (none, `--help`, an unknown name) or that leave
+    tokens over, and prints its usage and error for them.
+    """
+    parser, commands = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, argv)
+    if args is None or rest:
+        args = parser.parse_args(argv)
     code = EXIT_OK
     try:
         code = args.func(args)

@@ -101,16 +101,18 @@ def test_criterion_5_rotation_invariance():
         sizes = SizeVector(comp)
         m = sizes.circle_size
         parking = naive_parking_set(sizes, "circular")
+        # the simulation is a function of the preferences, so each sequence
+        # is simulated once and a rotation reads its own sequence's entry
+        empty = {}
         for tup in parking:
             prefs = PrefSequence(tup, "circular")
-            base_empty = empty_spot(simulate_circular(sizes, prefs).layout)
+            empty[tup] = empty_spot(simulate_circular(sizes, prefs).layout)
+        for tup, base_empty in empty.items():
+            prefs = PrefSequence(tup, "circular")
             for a in range(m):
                 rotated = rotate(sizes, prefs, a)
                 assert rotated.prefs in parking
-                rotated_empty = empty_spot(
-                    simulate_circular(sizes, rotated).layout
-                )
-                assert rotated_empty == wrap_spot(base_empty + a, m)
+                assert empty[rotated.prefs] == wrap_spot(base_empty + a, m)
         checked += 1
     report(5, f"rotation closure and empty-spot equivariance hold on all "
               f"{checked} compositions with n <= 4, T <= 8")

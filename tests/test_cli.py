@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -23,6 +24,7 @@ from parkseq.cli import main
 
 UNIT_CARS_2000 = ",".join(["1"] * 2000)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_streams.json")
 
 
 def run_cli(capsys, *argv):
@@ -485,6 +487,56 @@ def test_parser_reused_across_calls_keeps_no_state(capsys):
     # one parser, built by the first call of the process and kept
     assert parkseq.cli.build_parser.cache_info().misses == 1
     assert parkseq.cli.build_parser() is parkseq.cli.build_parser()
+
+
+def test_a_call_is_parsed_once_by_its_subcommands_parser(capsys, monkeypatch):
+    # the work done, counted: a call that starts with a subcommand runs one
+    # argparse parse, by that subcommand's own parser, and the top-level
+    # parser's parse_args never runs; a token left over sends the call
+    # through the top-level parser as well, which exits 2 with its own usage
+    parser, commands = parkseq.cli.build_parser()
+    parsed, full = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counting_parse_known_args(self, *args, **kwargs):
+        parsed.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    def counting_parse_args(self, *args, **kwargs):
+        full.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        counting_parse_known_args)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting_parse_args)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, "count", "--sizes", "2,2,1") == (0, "30\n", "")
+    assert parsed == [commands["count"]]
+    assert full == []
+
+    parsed.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--sizes", "2,2,1", "extra"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        "usage: parkseq [-h] {simulate,count,verify,bijection,sample} ...\n"
+        "parkseq: error: unrecognized arguments: extra\n",
+    )
+    assert parsed[:2] == [commands["count"], parser]
+    assert full == [parser]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script's call: `parkseq count --sizes 2,2,1` is main()
+    with open(GOLDEN) as f:
+        rows = json.load(f)["cli"]
+    row = next(r for r in rows if r["argv"] == ["count", "--sizes", "2,2,1"])
+    monkeypatch.setattr(sys, "argv", ["parkseq", *row["argv"]])
+    code = main()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (row["exit_code"], row["stdout"], row["stderr"])
 
 
 class TestProcessLevel:

@@ -461,12 +461,12 @@ class TestGoldenStreams:
     `cli` is the one list of pinned `parkseq` calls: each row's exit code,
     stdout and stderr bytes at 80 columns. The rows cover the seeded
     samples, the README's examples in text and --json, the bijection and
-    verify reports, budget refusals (exit 3), usage errors (exit 2) and
-    every --help text. test_cli_stdout runs them in-process, and
-    tests/cli_table.py runs them through the installed script. A new row is
-    appended, recorded from the program at the parent commit. An existing
-    row's bytes change only with a CHANGES.md line naming the behaviour
-    that changed. The table is never regenerated wholesale."""
+    verify reports, budget refusals (exit 3), usage errors (exit 2) from
+    the library and from argparse, and every --help text. test_cli_stdout
+    runs them in-process, and tests/cli_table.py runs them through the
+    installed script. A new row is appended, recorded from the program at
+    the parent commit. An existing row's bytes change only with a
+    CHANGES.md line naming the behaviour that changed. The table is never regenerated wholesale."""
 
     with open(GOLDEN) as f:
         golden = json.load(f)
