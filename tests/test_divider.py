@@ -464,9 +464,11 @@ class TestGoldenStreams:
     verify reports, budget refusals (exit 3), usage errors (exit 2) from
     the library and from argparse, and every --help text. test_cli_stdout
     runs them in-process, and tests/cli_table.py runs them through the
-    installed script. A new row is appended, recorded from the program at
-    the parent commit. An existing row's bytes change only with a
-    CHANGES.md line naming the behaviour that changed. The table is never regenerated wholesale."""
+    installed script. Each sampler case and each row is one line of the
+    file, a compact json.dumps of that entry. A new row is recorded from
+    the program at the parent commit and appended as a line; an existing
+    row's bytes change only with a CHANGES.md line naming the behaviour
+    that changed. Rows are appended as lines, never re-recorded."""
 
     with open(GOLDEN) as f:
         golden = json.load(f)
