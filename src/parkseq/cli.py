@@ -138,11 +138,10 @@ def _report_dict(report: EnumerationReport) -> dict:
     }
 
 
-def _report_line(report: EnumerationReport) -> str:
-    d = _report_dict(report)
-    verdict = "MATCH" if report.match else "MISMATCH"
+def _report_line(d: dict) -> str:
+    verdict = "MATCH" if d["match"] else "MISMATCH"
     return (
-        f"sizes={','.join(map(str, report.sizes.sizes))} ({report.flavor}): "
+        f"sizes={','.join(map(str, d['sizes']))} ({d['flavor']}): "
         f"{d['total_tuples']} tuples, {d['parked']} parked, "
         f"{d['collisions']} collisions, {d['past_end']} past-end, "
         f"formula {d['formula']}, {verdict}"
@@ -163,14 +162,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise ValueError("provide --sizes or both --max-cars and --max-total")
     all_match = all(r.match for r in reports)
+    dicts = [_report_dict(r) for r in reports]
     payload = {
         "command": "verify",
         "sizes": [list(r.sizes.sizes) for r in reports],
         "flavor": flavor,
-        "reports": [_report_dict(r) for r in reports],
+        "reports": dicts,
         "all_match": all_match,
     }
-    lines = [_report_line(r) for r in reports]
+    lines = [_report_line(d) for d in dicts]
     lines.append("all match" if all_match else "MISMATCH DETECTED")
     _emit(payload, args.json, lines)
     return EXIT_OK if all_match else EXIT_NEGATIVE

@@ -218,14 +218,6 @@ class TestVerify:
         for comp in [(1,), (2, 1), (2, 2, 1), (1, 1, 2)]:
             assert verify(SizeVector(comp), "circular").past_end == 0
 
-    @pytest.mark.parametrize("comp", [(2, 2, 2), (3, 1, 2)])
-    def test_partition_merge_determinism(self, comp):
-        sizes = SizeVector(comp)
-        reports = [verify(sizes, partitions=k) for k in (1, 2, 8)]
-        assert reports[0] == reports[1] == reports[2]
-        circ = [verify(sizes, "circular", partitions=k) for k in (1, 2, 8)]
-        assert circ[0] == circ[1] == circ[2]
-
     def test_more_partitions_than_prefixes(self):
         sizes = SizeVector((1, 1))
         assert verify(sizes, partitions=10) == verify(sizes)

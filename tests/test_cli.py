@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -48,96 +49,46 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-class TestSimulate:
-    def test_parked(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--sizes", "2,2,1",
-                               "--prefs", "2,3,1")
-        assert code == 0
-        assert "parked" in out
-        assert "C3 @ 1-1" in out and "C1 @ 2-3" in out and "C2 @ 4-5" in out
+# The one list of pinned `parkseq` calls, the `cli` rows of
+# golden_streams.json: each row's exit code, stdout and stderr bytes at 80
+# columns. The rows cover a bare `parkseq`, the seeded samples, the README's
+# examples in text and --json, failures to park, the bijection and verify
+# reports, budget refusals (exit 3), usage errors (exit 2) from the library
+# and from argparse, and every --help text. test_cli_stdout runs them
+# in-process, and tests/cli_table.py runs them through the installed script.
+# A new row is recorded from the program at the parent commit. Rows are
+# appended as lines, never re-recorded; an existing row's bytes change only
+# with a CHANGES.md line naming the behaviour that changed. The other tests
+# in this file check what a row cannot hold: counted work, memory bounds,
+# independent witnesses and the process boundary.
+with open(GOLDEN) as f:
+    CLI_ROWS = json.load(f)["cli"]
 
-    def test_parked_json(self, capsys):
-        code, doc, _ = run_json(capsys, "simulate", "--sizes", "2,2,1",
-                                "--prefs", "2,3,1")
-        assert code == 0
-        assert doc["command"] == "simulate"
-        assert doc["sizes"] == [2, 2, 1]
-        assert doc["flavor"] == "linear"
-        assert doc["result"] == "parked"
-        assert doc["layout"] == [
-            {"car": 3, "start": 1, "end": 1},
-            {"car": 1, "start": 2, "end": 3},
-            {"car": 2, "start": 4, "end": 5},
-        ]
 
-    def test_collision(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--sizes", "2,2,2",
-                               "--prefs", "3,2,1")
-        assert code == 1
-        assert "collision" in out
-        assert "car 2" in out and "spot 3" in out
+@pytest.mark.parametrize("case", CLI_ROWS, ids=lambda c: " ".join(c["argv"]))
+def test_cli_stdout(case, monkeypatch):
+    # --help wraps at 80 columns whatever the terminal, and exits
+    # through argparse's SystemExit(0)
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == case["exit_code"]
+    assert out.getvalue() == case["stdout"]
+    assert err.getvalue() == case["stderr"]
 
-    def test_past_end(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--sizes", "2,2,2",
-                               "--prefs", "2,5,5")
-        assert code == 1
-        assert "past end" in out
 
-    @pytest.mark.parametrize("extra, line", [
-        (("--prefs", "3,2,1"),
-         '{"command": "simulate", "sizes": [2, 2, 2], "flavor": "linear", '
-         '"result": "collision", "car": 2, "first_empty": 2, "blocked": 3}'),
-        (("--prefs", "2,5,5"),
-         '{"command": "simulate", "sizes": [2, 2, 2], "flavor": "linear", '
-         '"result": "past_end", "car": 3}'),
-        (("--prefs", "1,5,5", "--circular"),
-         '{"command": "simulate", "sizes": [2, 2, 2], "flavor": "circular", '
-         '"result": "collision", "car": 3, "first_empty": 7, "blocked": 1}'),
-    ], ids=["collision", "past-end", "circular-collision"])
-    def test_failure_json_bytes(self, capsys, extra, line):
-        code, out, err = run_cli(capsys, "simulate", "--sizes", "2,2,2",
-                                 *extra, "--json")
-        assert (code, out, err) == (1, line + "\n", "")
-
-    def test_circular_reports_empty_spot(self, capsys):
-        code, doc, _ = run_json(capsys, "simulate", "--sizes", "2,2",
-                                "--prefs", "1,4", "--circular")
-        assert code == 0
-        assert doc["flavor"] == "circular"
-        assert doc["empty_spot"] == 3
-
-    def test_pref_out_of_range_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "simulate", "--sizes", "2,2",
-                                 "--prefs", "9,1")
-        assert code == 2
-        assert out == ""
-        assert "error" in err
-
-    def test_garbled_sizes(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--sizes", "2,x",
-                               "--prefs", "1,1")
-        assert code == 2
-        assert "comma-separated" in err
+def test_cli_rows_are_well_formed():
+    assert all(
+        set(row) == {"argv", "exit_code", "stdout", "stderr"} for row in CLI_ROWS
+    )
+    assert len({tuple(row["argv"]) for row in CLI_ROWS}) == len(CLI_ROWS)
 
 
 class TestCount:
-    @pytest.mark.parametrize(
-        "sizes, extra, expected",
-        [("2,2,1", [], "30"), ("2,2,1", ["--circular"], "180"),
-         ("1,1,1,1", [], "125")],
-    )
-    def test_values(self, capsys, sizes, extra, expected):
-        code, out, _ = run_cli(capsys, "count", "--sizes", sizes, *extra)
-        assert code == 0
-        assert out.strip() == expected
-
-    def test_json_count_is_string(self, capsys):
-        code, doc, _ = run_json(capsys, "count", "--sizes", "2,2,1")
-        assert code == 0
-        assert doc["count"] == "30"
-        assert isinstance(doc["count"], str)
-
-
     def test_count_past_the_str_digit_limit(self, capsys):
         # (n+1)^(n-1) for n = 2000 has 6,603 digits
         with unlimited_str_digits():
@@ -188,10 +139,14 @@ class TestCount:
 
     @pytest.mark.parametrize("command", ["verify", "bijection"])
     def test_refusal_names_a_domain_past_the_digit_limit(self, capsys, command):
+        # the domain is T^n tuples for verify's linear lot and M^n for the
+        # bijection's circular one, 6,603 digits each, printed in full
+        base = {"verify": 2000, "bijection": 2001}[command]
+        with unlimited_str_digits():
+            digits = str(base**2000)
         code, out, err = run_cli(capsys, command, "--sizes", UNIT_CARS_2000)
-        assert code == 3
-        assert out == ""
-        assert "budget" in err
+        assert (code, out) == (3, "")
+        assert err.endswith(f" needs {digits} tuples, budget is 100000000\n")
 
 
 class TestLargeLots:
@@ -252,168 +207,7 @@ class TestLargeLots:
         assert peak < 2**20
 
 
-class TestVerify:
-    def test_single_circular(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--sizes", "2,2", "--circular")
-        assert code == 0
-        assert "25 tuples" in out
-        assert "20 parked" in out
-        assert "MATCH" in out
-
-    def test_sweep(self, capsys):
-        code, doc, _ = run_json(capsys, "verify", "--max-cars", "3",
-                                "--max-total", "6")
-        assert code == 0
-        assert doc["all_match"] is True
-        assert all(r["match"] for r in doc["reports"])
-        assert all(isinstance(r["parked"], str) for r in doc["reports"])
-
-    def test_budget_refusal(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--sizes",
-                                 "5,5,5,5,5,5,5,5")
-        assert code == 3
-        assert out == ""
-        assert "budget" in err
-
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    @pytest.mark.parametrize("target", [("--sizes", "2,2"),
-                                        ("--max-cars", "2", "--max-total", "3")])
-    def test_budget_below_one_is_a_usage_error(self, capsys, target, budget):
-        # no such budget admits any instance, so it is no budget refusal
-        code, out, err = run_cli(capsys, "verify", *target, "--budget", budget)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert f"budget must be >= 1, got {budget}" in err
-
-    def test_missing_bounds(self, capsys):
-        code, _, err = run_cli(capsys, "verify")
-        assert code == 2
-        assert "max-cars" in err
-
-    @pytest.mark.parametrize("max_cars, max_total",
-                             [("0", "5"), ("-2", "4"), ("3", "0")])
-    def test_empty_sweep_refused(self, capsys, max_cars, max_total):
-        code, out, err = run_cli(capsys, "verify", "--max-cars", max_cars,
-                                 "--max-total", max_total)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-
-    @pytest.mark.parametrize("bounds", [
-        ("--max-cars", "3", "--max-total", "6"),
-        ("--max-cars", "3"),
-        ("--max-total", "6"),
-    ])
-    @pytest.mark.parametrize("as_json", [(), ("--json",)])
-    def test_sizes_with_sweep_bounds_refused(self, capsys, bounds, as_json):
-        # the sweep bounds would be ignored, checking only the given sizes
-        code, out, err = run_cli(capsys, "verify", "--sizes", "2,2",
-                                 *bounds, *as_json)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "--sizes" in err
-
-
-class TestBijection:
-    def test_two_by_two(self, capsys):
-        code, doc, _ = run_json(capsys, "bijection", "--sizes", "2,2")
-        assert code == 0
-        assert doc["option_sequences"] == "20"
-        assert doc["distinct_decodes"] == "20"
-        assert doc["linear_parking_sequences"] == "4"
-        assert doc["all_pass"] is True
-        assert all(doc["checks"].values())
-
-    def test_three_cars(self, capsys):
-        code, out, _ = run_cli(capsys, "bijection", "--sizes", "2,2,1")
-        assert code == 0
-        assert "180" in out
-        assert "all pass" in out
-
-    def test_single_car(self, capsys):
-        code, doc, _ = run_json(capsys, "bijection", "--sizes", "3")
-        assert code == 0
-        assert doc["option_sequences"] == "4"
-
-    def test_budget(self, capsys):
-        code, _, err = run_cli(capsys, "bijection", "--sizes", "2,2",
-                               "--budget", "3")
-        assert code == 3
-        assert "budget" in err
-
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
-        code, out, err = run_cli(capsys, "bijection", "--sizes", "2,2",
-                                 "--budget", budget)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert f"budget must be >= 1, got {budget}" in err
-
-    def test_check_names_in_order(self, capsys):
-        _, doc, _ = run_json(capsys, "bijection", "--sizes", "2,1")
-        assert list(doc["checks"]) == [
-            "decode_valid",
-            "decode_injective",
-            "image_equals_circular_set",
-            "image_count_matches_formula",
-            "restriction_matches_linear_set",
-            "rotation_invariant",
-        ]
-
-    def test_circular_flag_rejected(self, capsys):
-        # the bijection checks always cover both lots; the flag did nothing
-        with pytest.raises(SystemExit) as exc:
-            main(["bijection", "--sizes", "2,2", "--circular"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--circular" in captured.err
-
-
 class TestSample:
-    def test_draws_are_parking_sequences(self, capsys):
-        code, out, _ = run_cli(capsys, "sample", "--sizes", "2,2",
-                               "--count", "3", "--seed", "7")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3
-        valid = {"1,1", "1,2", "1,3", "3,1"}
-        assert all(line in valid for line in lines)
-
-    def test_zero_count(self, capsys):
-        code, out, _ = run_cli(capsys, "sample", "--sizes", "2,2",
-                               "--count", "0", "--seed", "1")
-        assert code == 0
-        assert out == ""
-
-    def test_determinism_byte_identical(self, capsys):
-        argv = ["sample", "--sizes", "2,1,3", "--count", "20", "--seed", "99"]
-        outputs = []
-        for _ in range(2):
-            code = main(argv)
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
-    def test_json_schema(self, capsys):
-        code, doc, _ = run_json(capsys, "sample", "--sizes", "2,2",
-                                "--count", "2", "--seed", "5", "--circular")
-        assert code == 0
-        assert doc["flavor"] == "circular"
-        assert doc["seed"] == 5
-        assert len(doc["samples"]) == 2
-
-    def test_negative_count(self, capsys):
-        for as_json in ((), ("--json",)):
-            code, out, err = run_cli(capsys, "sample", "--sizes", "2,2",
-                                     "--count", "-1", "--seed", "1", *as_json)
-            assert code == 2
-            assert out == ""
-            assert "count" in err
-
     @pytest.mark.parametrize("count", [0, 1, 3])
     @pytest.mark.parametrize("flavor", ["linear", "circular"])
     def test_streamed_output_is_the_whole_document(self, capsys, count, flavor):
@@ -528,11 +322,26 @@ def test_a_call_is_parsed_once_by_its_subcommands_parser(capsys, monkeypatch):
     assert full == [parser]
 
 
+@pytest.mark.parametrize("as_json", [(), ("--json",)])
+def test_verify_formats_each_report_once(monkeypatch, as_json):
+    # the work done, counted: each of the sweep's 41 reports has its fields
+    # written out once, and its text line is read off that dict
+    made = []
+    report_dict = parkseq.cli._report_dict
+
+    def counting_report_dict(report):
+        made.append(report)
+        return report_dict(report)
+
+    monkeypatch.setattr(parkseq.cli, "_report_dict", counting_report_dict)
+    with contextlib.redirect_stdout(NullStdout()):
+        assert main(["verify", "--max-cars", "3", "--max-total", "6", *as_json]) == 0
+    assert len(made) == 41
+
+
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     # the console script's call: `parkseq count --sizes 2,2,1` is main()
-    with open(GOLDEN) as f:
-        rows = json.load(f)["cli"]
-    row = next(r for r in rows if r["argv"] == ["count", "--sizes", "2,2,1"])
+    row = next(r for r in CLI_ROWS if r["argv"] == ["count", "--sizes", "2,2,1"])
     monkeypatch.setattr(sys, "argv", ["parkseq", *row["argv"]])
     code = main()
     out, err = capsys.readouterr()

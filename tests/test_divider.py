@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -34,7 +32,6 @@ from parkseq import (
     simulate_linear,
     wrap_spot,
 )
-from parkseq.cli import main
 from parkseq.circular import _turn
 from parkseq.counting import _option_counts
 from parkseq.divider import _walk
@@ -452,23 +449,11 @@ class TestLinearShift:
 
 
 class TestGoldenStreams:
-    """Pinned outputs in golden_streams.json.
-
-    `samplers` holds seeded draws recorded from the sampler that built every
-    car's full option list and indexed it; drawing option numbers must not
-    change a single draw.
-
-    `cli` is the one list of pinned `parkseq` calls: each row's exit code,
-    stdout and stderr bytes at 80 columns. The rows cover the seeded
-    samples, the README's examples in text and --json, the bijection and
-    verify reports, budget refusals (exit 3), usage errors (exit 2) from
-    the library and from argparse, and every --help text. test_cli_stdout
-    runs them in-process, and tests/cli_table.py runs them through the
-    installed script. Each sampler case and each row is one line of the
-    file, a compact json.dumps of that entry. A new row is recorded from
-    the program at the parent commit and appended as a line; an existing
-    row's bytes change only with a CHANGES.md line naming the behaviour
-    that changed. Rows are appended as lines, never re-recorded."""
+    """Seeded draws pinned in the `samplers` list of golden_streams.json,
+    recorded from the sampler that built every car's full option list and
+    indexed it; drawing option numbers must not change a single draw. Each
+    case is one line of the file, a compact json.dumps of that entry. The
+    file's `cli` rows are run by tests/test_cli.py::test_cli_stdout."""
 
     with open(GOLDEN) as f:
         golden = json.load(f)
@@ -484,25 +469,3 @@ class TestGoldenStreams:
             rng = Random(case["seed"])
             got = [list(draw(sizes, rng).prefs) for _ in case[flavor]]
             assert json.dumps(got) == json.dumps(case[flavor])
-
-    @pytest.mark.parametrize("case", golden["cli"], ids=lambda c: " ".join(c["argv"]))
-    def test_cli_stdout(self, case, monkeypatch):
-        # --help wraps at 80 columns whatever the terminal, and exits
-        # through argparse's SystemExit(0)
-        monkeypatch.setenv("COLUMNS", "80")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(case["argv"])
-            except SystemExit as exc:
-                code = exc.code
-        assert code == case["exit_code"]
-        assert out.getvalue() == case["stdout"]
-        assert err.getvalue() == case["stderr"]
-
-    def test_cli_rows_are_well_formed(self):
-        rows = self.golden["cli"]
-        assert all(
-            set(row) == {"argv", "exit_code", "stdout", "stderr"} for row in rows
-        )
-        assert len({tuple(row["argv"]) for row in rows}) == len(rows)
