@@ -192,8 +192,8 @@ def _parking_states(
     past the end on the line and to the first free spot on the circle. So
     a prefix costs one lookup per free spot in the block table `_tally`
     reads (`_blocks`), and the children that park at one spot share one
-    starts tuple. Children are pushed from high to low, so the lowest is
-    popped first.
+    starts tuple and one mask. Children are pushed from high to low, so
+    the lowest is popped first.
     """
     base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
@@ -212,17 +212,17 @@ def _parking_states(
             first = (free & -free).bit_length()
             block = blocks[first]
             if not mask & block:
-                parked = starts + (first,)
+                parked, child = starts + (first,), mask | block
                 for c in range(base, free.bit_length(), -1):
-                    stack.append((prefix + (c,), parked, mask | block))
+                    stack.append((prefix + (c,), parked, child))
         while free:
             j = free.bit_length()
             free ^= 1 << (j - 1)
             block = blocks[j]
             if block and not mask & block:
-                parked = starts + (j,)
+                parked, child = starts + (j,), mask | block
                 for c in range(j, free.bit_length(), -1):
-                    stack.append((prefix + (c,), parked, mask | block))
+                    stack.append((prefix + (c,), parked, child))
 
 
 def enumerate_parking_sequences(
@@ -297,7 +297,10 @@ def bijection_checks(
     into block c, where each decoded start is looked up; the blocks are
     disjoint, so the image is compared and counted block by block. A turn
     by 1 maps block c onto block c + 1, so the set is closed under every
-    rotation exactly when each block c is block 1 turned by c - 1.
+    rotation exactly when each block c is block 1 turned by c - 1. Turns
+    compose, so the image in block c is the image in block 1 turned by
+    c - 1: when the image in block 1 is block 1, closure at block c is the
+    image check there, and block 1 is turned only when it is not.
     """
     m, _ = _check_budget(sizes, "circular", budget)
     n = sizes.n
@@ -337,9 +340,12 @@ def bijection_checks(
             image.update(prefs)
             decode_valid &= list(map(block.get, prefs)) == list(zip(*spots[n:]))
         distinct += len(image)
-        image_equals_circular_set &= image == block.keys()
-        if c == 1:
-            first = tuple(itertools.chain(*zip(*block)))
+        closed = image == block.keys()
+        image_equals_circular_set &= closed
+        if c == 1:  # image c is image 1 turned by c - 1: once it is block 1, no turn
+            first = None if closed else tuple(itertools.chain(*zip(*block)))
+        elif first is None:
+            rotation_invariant &= closed
         else:
             turned = zip(*cut(_turn(first, c - 1, m), n))
             rotation_invariant &= len(block) * n == len(first) and all(

@@ -9,6 +9,7 @@ empty spot is M correspond exactly to the linear parking sequences.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -30,7 +31,16 @@ def wrap_spot(x: int, modulus: int) -> int:
 
 def _turn(spots: tuple[int, ...], a: int, m: int) -> tuple[int, ...]:
     """Turn spots of [1, m] clockwise by a, 0 <= a < m: the one place a
-    tuple of spots goes round the circle. Nothing is checked."""
+    tuple of spots goes round the circle. Nothing is checked.
+
+    A tuple longer than the lot (only `bijection_checks`' columns, which
+    hold every walk) is turned by lookup in a table of the m turned spots,
+    entry x for spot x (entry 0 unused); the table is shorter than the
+    tuple it serves, so the turn stays linear in len(spots) whatever m is.
+    Shorter tuples, such as a decode's n < m spots, are turned one by one.
+    """
+    if len(spots) > m:  # two or more spots, so itemgetter returns a tuple
+        return itemgetter(*spots)((*range(a, m + 1), *range(1, a + 1)))
     b = m - a
     return tuple([x + a if x <= b else x - b for x in spots])
 

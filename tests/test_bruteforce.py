@@ -487,6 +487,12 @@ def report_with_first_walk(monkeypatch, sizes, corrupt):
     return report
 
 
+def prefer_2(*args):
+    """The walk with car 1 preferring spot 2; it still parks at spot 1."""
+    prefs, starts, e = _walk(*args)
+    return (2,) + prefs[1:], starts, e
+
+
 @pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
 def test_decode_witness_sees_a_moved_start(monkeypatch, comp):
     sizes = SizeVector(comp)
@@ -568,8 +574,8 @@ def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
     # the work done, counted: the walk that places cars 2..n runs once per
     # code tuple of cars 2..n (count_linear of them, by the product
     # formula); each of the M blocks turns the 2n columns of all the walks
-    # with one turn, not one per decode, and each block but block 1 turns
-    # the n preference columns of block 1 once for the rotation check
+    # with one turn, not one per decode. The image in block 1 is block 1,
+    # so the rotation check reads the turned decodes and turns nothing more
     sizes = SizeVector(comp)
     m, n, rows = sizes.circle_size, sizes.n, count_linear(sizes)
     walks = 0
@@ -588,9 +594,32 @@ def test_bijection_checks_run_phase_1_once_per_m_anchors(monkeypatch, comp):
     monkeypatch.setattr(parkseq.bruteforce, "_turn", turn)
     report = bijection_checks(sizes)
     assert walks == rows
-    assert turned == {2 * n * rows: m, n * rows: m - 1}
+    assert turned == {2 * n * rows: m}
     assert report.option_sequences == count_circular(sizes)
     assert report == reference_bijection_report(sizes)
+
+
+@pytest.mark.parametrize("comp", [(2, 1), (1, 2, 1), (3, 1, 2), (2, 2, 1)], ids=str)
+def test_rotation_check_turns_block_1_when_its_image_differs(monkeypatch, comp):
+    # the first walk has car 1 prefer spot 2, so the image in block 1 is not
+    # block 1 and cannot stand for its turns: the rotation check turns the n
+    # preference columns of block 1 once for each block but block 1, and the
+    # untouched circular set still reads closed
+    sizes = SizeVector(comp)
+    m, n, rows = sizes.circle_size, sizes.n, count_linear(sizes)
+    turned = Counter()
+
+    def turn(spots, a, m):
+        turned[len(spots)] += 1
+        return _turn(spots, a, m)
+
+    monkeypatch.setattr(parkseq.bruteforce, "_turn", turn)
+    report = report_with_first_walk(monkeypatch, sizes, prefer_2)
+    # one group of walks per car 1 preference, each turned once per block
+    groups = Counter({2 * n: m}) + Counter({2 * n * (rows - 1): m})
+    assert turned == groups + Counter({n * rows: m - 1})
+    assert not report.image_equals_circular_set
+    assert report.rotation_invariant
 
 
 @pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)], ids=str)
@@ -719,11 +748,6 @@ def test_decode_witness_sees_car_1_preferring_2(monkeypatch, comp, distinct):
     # before its preference: none of its M decodes is valid, and with two
     # or more cars each of them repeats another walk's decode here
     sizes = SizeVector(comp)
-
-    def prefer_2(*args):
-        prefs, starts, e = _walk(*args)
-        return (2,) + prefs[1:], starts, e
-
     report = report_with_first_walk(monkeypatch, sizes, prefer_2)
     one_car = sizes.n == 1
     assert report.option_sequences == count_circular(sizes)

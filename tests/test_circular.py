@@ -87,11 +87,13 @@ class TestRotate:
 
 def test_turn_matches_the_literal():
     # the one rule that turns spots, on every spot and every turn of
-    # circles of up to 10 spots
+    # circles of up to 10 spots: tuples no longer than the lot are turned
+    # one by one, longer ones by lookup in a table of the turned spots
     for m in range(1, 11):
-        spots = tuple(range(1, m + 1))
-        for a in range(m):
-            assert _turn(spots, a, m) == tuple((x + a - 1) % m + 1 for x in spots)
+        longer = tuple(range(m, 0, -1)) * 3, (m,) * (m + 1)
+        for spots in (tuple(range(1, m + 1)), *longer):
+            for a in range(m):
+                assert _turn(spots, a, m) == tuple((x + a - 1) % m + 1 for x in spots)
 
 
 class TestEmptySpot:
