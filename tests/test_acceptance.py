@@ -91,13 +91,9 @@ def test_criterion_4_circular_formula_vs_oracle():
               f"compositions with n <= 4, T <= 10; no past-end events")
 
 
-def _compositions_n4_t8():
-    return [c for c in compositions(4, 8)]
-
-
 def test_criterion_5_rotation_invariance():
     checked = 0
-    for comp in _compositions_n4_t8():
+    for comp in compositions(4, 8):
         sizes = SizeVector(comp)
         m = sizes.circle_size
         parking = naive_parking_set(sizes, "circular")
@@ -119,7 +115,7 @@ def test_criterion_5_rotation_invariance():
 
 
 def test_criterion_6_restriction_bijection():
-    for comp in _compositions_n4_t8():
+    for comp in compositions(4, 8):
         sizes = SizeVector(comp)
         m = sizes.circle_size
         restricted = set()
@@ -138,7 +134,7 @@ def test_criterion_6_restriction_bijection():
 
 
 def test_criterion_7_decode_bijection():
-    for comp in _compositions_n4_t8():
+    for comp in compositions(4, 8):
         sizes = SizeVector(comp)
         image = set()
         total = 0

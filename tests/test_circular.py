@@ -209,39 +209,6 @@ SMALL_COMPOSITIONS = [(1,), (2,), (1, 1), (2, 1), (2, 2), (1, 2, 1), (2, 2, 1)]
 
 
 @pytest.mark.parametrize("comp", SMALL_COMPOSITIONS)
-def test_rotation_invariance_exhaustive(comp):
-    sizes = SizeVector(comp)
-    m = sizes.circle_size
-    parking = naive_parking_set(sizes, "circular")
-    for tup in parking:
-        for a in range(m):
-            assert rotate(sizes, circ(tup), a).prefs in parking
-
-
-@pytest.mark.parametrize("comp", SMALL_COMPOSITIONS)
-def test_empty_spot_equivariance(comp):
-    sizes = SizeVector(comp)
-    m = sizes.circle_size
-    for tup in naive_parking_set(sizes, "circular"):
-        result = simulate_circular(sizes, circ(tup))
-        e = empty_spot(result.layout)
-        for a in range(m):
-            rotated = simulate_circular(sizes, rotate(sizes, circ(tup), a))
-            assert empty_spot(rotated.layout) == wrap_spot(e + a, m)
-
-
-@pytest.mark.parametrize("comp", SMALL_COMPOSITIONS)
-def test_restriction_matches_linear_set(comp):
-    sizes = SizeVector(comp)
-    restricted = set()
-    for tup in naive_parking_set(sizes, "circular"):
-        lin = restrict_to_linear(sizes, circ(tup))
-        if lin is not None:
-            restricted.add(lin.prefs)
-    assert restricted == naive_parking_set(sizes, "linear")
-
-
-@pytest.mark.parametrize("comp", SMALL_COMPOSITIONS)
 def test_no_scan_crosses_the_empty_spot(comp):
     # replay: each car's cruise path never passes the final empty spot
     sizes = SizeVector(comp)

@@ -352,9 +352,10 @@ class TestProcessLevel:
     """End-to-end through the interpreter, exercising argparse's own exits."""
 
     # The children import this checkout and block-buffer their stdout, as
-    # they do from a shell, whatever PYTHONUNBUFFERED the tests inherit.
+    # they do from a shell, whatever PYTHONUNBUFFERED the tests inherit;
+    # usage text wraps at 80 columns, as in the cli rows.
     ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    ENV["PYTHONPATH"] = SRC
+    ENV.update(PYTHONPATH=SRC, COLUMNS="80")
 
     def run(self, *argv, module="parkseq"):
         return subprocess.run(
@@ -362,15 +363,22 @@ class TestProcessLevel:
             capture_output=True, text=True, env=self.ENV,
         )
 
-    def test_missing_required_flag(self):
-        proc = self.run("simulate", "--sizes", "2,2")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "prefs" in proc.stderr
-
-    def test_unknown_subcommand(self):
-        proc = self.run("frobnicate")
-        assert proc.returncode == 2
+    @pytest.mark.parametrize(
+        "case",
+        [row for row in CLI_ROWS if row["argv"] in (
+            ["simulate", "--sizes", "2,2"],
+            ["bogus"],
+            ["sample", "--sizes", "2,2", "--count", "1"],
+        )],
+        ids=lambda c: " ".join(c["argv"]),
+    )
+    def test_argparse_exit_reaches_the_shell(self, case):
+        # a missing flag, an unknown subcommand and the mandatory --seed:
+        # argparse's own SystemExit(2), seen from outside the interpreter
+        proc = self.run(*case["argv"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            case["exit_code"], case["stdout"], case["stderr"]
+        )
 
     def test_results_on_stdout_only(self):
         proc = self.run("count", "--sizes", "2,2,1")
@@ -403,10 +411,6 @@ class TestProcessLevel:
         at_import, after_first, after_second = map(int, proc.stdout.split())
         assert at_import == 0
         assert after_first == after_second > 0
-
-    def test_seed_is_mandatory(self):
-        proc = self.run("sample", "--sizes", "2,2", "--count", "1")
-        assert proc.returncode == 2
 
     SAMPLE = ["sample", "--sizes", "2,1,3", "--count", "100000", "--seed", "7"]
 

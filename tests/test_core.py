@@ -12,7 +12,6 @@ from parkseq import (
     Layout,
     OptionSequence,
     Parked,
-    PastEnd,
     PrefSequence,
     SizeVector,
     compositions,
@@ -39,20 +38,9 @@ def layout_starts(result):
 
 
 class TestGoldenExamples:
-    def test_three_cars_park(self):
-        result = simulate_linear(SizeVector((2, 2, 1)), PrefSequence((2, 3, 1)))
-        assert layout_starts(result) == (2, 4, 1)
-        assert result.layout.block(1) == (2, 3)
-        assert result.layout.block(2) == (4, 5)
-        assert result.layout.block(3) == (1,)
-
     def test_collision(self):
         result = simulate_linear(SizeVector((2, 2, 2)), PrefSequence((3, 2, 1)))
         assert result == Collision(car=2, first_empty=2, blocked=3)
-
-    def test_past_end(self):
-        result = simulate_linear(SizeVector((2, 2, 2)), PrefSequence((2, 5, 5)))
-        assert result == PastEnd(car=3)
 
     def test_order_sensitivity(self):
         sizes = SizeVector((2, 2))
@@ -285,14 +273,6 @@ def test_monotone_scan_replay(case):
         for spot in range(prefs.prefs[car - 1], start):
             assert spot in occupied
         occupied.update(result.layout.block(car))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_classical_equivalence_exhaustive(n):
-    sizes = SizeVector((1,) * n)
-    for tup in itertools.product(range(1, n + 1), repeat=n):
-        assert is_parking_sequence(sizes, PrefSequence(tup)) == \
-            is_classical_parking_function(tup)
 
 
 @pytest.mark.parametrize(

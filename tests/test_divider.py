@@ -186,7 +186,9 @@ class TestOptionEnumeration:
         return direct + cruise
 
     def test_options_for_car_follows_the_literal_order(self):
-        for comp in compositions(5, 10):
+        # every composition with n <= 5, T <= 10, and criterion 7's worked
+        # vector past that range
+        for comp in (*compositions(5, 10), (2, 5, 1, 3, 2)):
             sizes = SizeVector(comp)
             for i in range(2, sizes.n + 1):
                 literal = self.literal_options(sizes, i)
@@ -271,11 +273,6 @@ class TestOptionEnumeration:
                 decoded += 1
         assert decoded == 23_798
 
-    def test_per_car_choice_counts(self):
-        sizes = SizeVector((2, 5, 1, 3, 2))
-        for i in range(2, sizes.n + 1):
-            assert len(options_for_car(sizes, i)) == option_count(sizes, i)
-
     @pytest.mark.parametrize(
         "comp, expected", [((2, 2), 20), ((3,), 4), ((2, 2, 1), 180)]
     )
@@ -284,31 +281,6 @@ class TestOptionEnumeration:
         opts = list(enumerate_option_sequences(sizes))
         assert len(opts) == expected == count_circular(sizes)
         assert len(set(opts)) == len(opts)
-
-
-DECODE_COMPOSITIONS = [(1,), (3,), (1, 1), (2, 2), (1, 2, 1), (2, 2, 1)]
-
-
-@pytest.mark.parametrize("comp", DECODE_COMPOSITIONS)
-def test_decode_is_a_bijection(comp):
-    sizes = SizeVector(comp)
-    image = set()
-    for opts in enumerate_option_sequences(sizes):
-        prefs, _ = decode(sizes, opts)
-        image.add(prefs.prefs)
-    assert len(image) == count_circular(sizes)  # injective
-    assert image == naive_parking_set(sizes, "circular")  # onto
-
-
-@pytest.mark.parametrize("comp", [(2, 2), (2, 2, 1), (1, 3)])
-def test_cruise_preference_lands_in_target_block(comp):
-    sizes = SizeVector(comp)
-    for opts in enumerate_option_sequences(sizes):
-        prefs, layout = decode(sizes, opts)
-        for i, opt in enumerate(opts.options, start=2):
-            if isinstance(opt, Cruise):
-                block = layout.block(opt.car)
-                assert prefs.prefs[i - 1] == block[opt.offset - 1]
 
 
 class TestSamplers:
