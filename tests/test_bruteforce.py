@@ -58,11 +58,25 @@ def no_simulators(monkeypatch):
     )
 
 
-# every composition with n <= 4, T <= 6 in both flavors
 CROSS_CHECK_CASES = [
+    ((2, 2), "linear"),
+    ((2, 2), "circular"),
+    ((2, 2, 2), "linear"),
+    ((1, 1, 1), "linear"),
+    ((2, 2, 1), "circular"),
+    ((3, 1, 2), "linear"),
+    ((1, 3), "circular"),
+    ((4,), "linear"),
+]
+
+
+# every composition with n <= 4, T <= 6 in both flavors; the hand-picked
+# cases above stay first, so their test ids do not move
+CROSS_CHECK_CASES += [
     (comp, flavor)
     for flavor in ("linear", "circular")
     for comp in compositions(4, 6)
+    if (comp, flavor) not in CROSS_CHECK_CASES
 ]
 
 
