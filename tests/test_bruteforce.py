@@ -12,7 +12,6 @@ import parkseq
 import parkseq.bruteforce
 from parkseq import (
     BudgetExceededError,
-    Parked,
     PrefSequence,
     SizeVector,
     compositions,
@@ -21,13 +20,13 @@ from parkseq import (
     decode,
     enumerate_option_sequences,
     enumerate_parking_sequences,
-    rotate,
     simulate_circular,
     simulate_linear,
     verify,
     verify_sweep,
 )
 from parkseq.bruteforce import (
+    DEFAULT_BUDGET,
     BijectionReport,
     _blocks,
     _parking_states,
@@ -219,19 +218,6 @@ class TestVerify:
         assert report == verify(sizes)
         assert peak < 2**20
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError) as exc_info:
-            verify(SizeVector((5,) * 8), budget=10**8)
-        assert exc_info.value.required == 40**8
-        assert exc_info.value.sizes.sizes == (5,) * 8
-        assert str(40**8) in str(exc_info.value)  # required budget reported
-
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_budget_below_one_is_a_value_error(self, budget):
-        # it admits no instance, not even a single unit car
-        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-            verify(SizeVector((1,)), budget=budget)
-
     def test_bad_partitions(self):
         with pytest.raises(ValueError):
             verify(SizeVector((2,)), partitions=0)
@@ -249,15 +235,6 @@ class TestEnumerate:
     def test_single_car(self):
         seqs = list(enumerate_parking_sequences(SizeVector((7,))))
         assert [p.prefs for p in seqs] == [(1,)]
-
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError):
-            next(enumerate_parking_sequences(SizeVector((2, 2)), budget=10))
-
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_budget_below_one_is_a_value_error(self, budget):
-        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-            next(enumerate_parking_sequences(SizeVector((1,)), budget=budget))
 
     @pytest.mark.parametrize("flavor", ["linear", "circular"])
     @pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
@@ -315,11 +292,6 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep bounds"):
             verify_sweep(max_n, max_total)
 
-    def test_budget_names_offender(self):
-        with pytest.raises(BudgetExceededError) as exc_info:
-            verify_sweep(3, 6, budget=100)
-        assert exc_info.value.sizes.n >= 1
-
 
 UNKNOWN_FLAVOR_CALLS = {
     "verify": lambda f: verify(SizeVector((2, 1)), f),
@@ -339,24 +311,54 @@ def test_unknown_flavor_is_a_value_error(call, flavor):
         call(flavor)
 
 
+# The four calls the tuple budget gates, each as call(x, budget) on an
+# instance x: an x past the given budget, with the size vector, flavor and
+# lot the refusal names, and an x of one unit car.
+BUDGET_GATES = {
+    "verify": (
+        lambda x, budget: verify(SizeVector(x), budget=budget),
+        (5,) * 8, DEFAULT_BUDGET, (5,) * 8, "linear", 40, (1,)),
+    "verify_sweep": (  # the first composition past the budget is named
+        lambda x, budget: verify_sweep(*x, budget=budget),
+        (3, 6), 100, (1, 1, 3), "linear", 5, (1, 1)),
+    "enumerate_parking_sequences": (  # refused at the first next()
+        lambda x, budget: next(
+            enumerate_parking_sequences(SizeVector(x), budget=budget)),
+        (2, 2), 10, (2, 2), "linear", 4, (1,)),
+    "bijection_checks": (
+        lambda x, budget: bijection_checks(SizeVector(x), budget=budget),
+        (5, 5, 5), 10, (5, 5, 5), "circular", 16, (1,)),
+}
+
+
+@pytest.mark.parametrize("gate", BUDGET_GATES.values(), ids=BUDGET_GATES)
+def test_budget_refusal(gate):
+    call, x, budget, sizes, flavor, base, _ = gate
+    required = base ** len(sizes)
+    with pytest.raises(BudgetExceededError) as exc_info:
+        call(x, budget)
+    refusal = exc_info.value
+    assert refusal.sizes == SizeVector(sizes)
+    assert (refusal.flavor, refusal.required, refusal.budget) == \
+        (flavor, required, budget)
+    assert str(refusal) == (  # the required count in full
+        f"enumeration of sizes={sizes} ({flavor}) needs {required} tuples, "
+        f"budget is {budget}"
+    )
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("gate", BUDGET_GATES.values(), ids=BUDGET_GATES)
+def test_budget_below_one_is_a_value_error(gate, budget):
+    # it admits no instance, not even a single unit car
+    call, *_, unit = gate
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+        call(unit, budget)
+
+
 def test_compositions_generator():
     comps = list(compositions(2, 3))
     assert comps == [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1)]
-
-
-def test_bijection_checks_single_car():
-    report = bijection_checks(SizeVector((3,)))
-    assert report.option_sequences == 4
-    assert report.distinct_decodes == 4
-    assert report.all_pass
-
-
-def test_bijection_checks_counts():
-    report = bijection_checks(SizeVector((2, 2)))
-    assert report.option_sequences == 20
-    assert report.circular_parking_sequences == 20
-    assert report.linear_parking_sequences == 4
-    assert report.all_pass
 
 
 def test_all_pass_reads_every_check():
@@ -370,17 +372,6 @@ def test_all_pass_reads_every_check():
         assert not failed.all_pass
 
 
-def test_bijection_checks_budget():
-    with pytest.raises(BudgetExceededError):
-        bijection_checks(SizeVector((5, 5, 5)), budget=10)
-
-
-@pytest.mark.parametrize("budget", [0, -1])
-def test_bijection_checks_budget_below_one(budget):
-    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-        bijection_checks(SizeVector((1,)), budget=budget)
-
-
 def test_sweep_reports_match_circular_identity():
     for report in verify_sweep(3, 5, "circular"):
         assert report.formula_value == count_circular(report.sizes)
@@ -388,44 +379,88 @@ def test_sweep_reports_match_circular_identity():
             report.sizes.circle_size * count_linear(report.sizes)
 
 
-def reference_bijection_report(sizes: SizeVector) -> BijectionReport:
-    """The bijection checks written out with the spot-by-spot references:
-    every decode simulated literally, the restriction read from the free
-    spots, and closure tested under every rotation."""
+def turn(spots: tuple[int, ...], a: int, m: int) -> tuple[int, ...]:
+    """Spots of [1, m] turned clockwise by any integer a, spot by spot."""
+    return tuple((x - 1 + a) % m + 1 for x in spots)
+
+
+def decode_walks(sizes: SizeVector) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The walk of each code tuple of cars 2..n, in code order, as the
+    (preferences, starts) of the public decode with car 1 at spot 1."""
+    anchored = itertools.takewhile(
+        lambda opts: opts.anchor == 1, enumerate_option_sequences(sizes))
+    decoded = (decode(sizes, opts) for opts in anchored)
+    return [(prefs.prefs, layout.starts) for prefs, layout in decoded]
+
+
+def reference_bijection_report(sizes, walks=None, circular=None) -> BijectionReport:
+    """The bijection checks written out literally on the two inputs that
+    bijection_checks reads: the walks of cars 2..n (by default the decoded
+    ones) and the circular parking set (by default one simulation per
+    tuple). Each walk is turned so that car 1 prefers spot c, for c = 1..M;
+    a decode is valid when its preferences are in the set and park,
+    simulated spot by spot, at its starts; the restriction is read off the
+    free spots, and closure is tested under every rotation."""
     m = sizes.circle_size
-    image = []
-    decode_valid = True
-    for opts in enumerate_option_sequences(sizes):
-        prefs, layout = decode(sizes, opts)
-        image.append(prefs.prefs)
-        result = naive_simulate(sizes, prefs, "circular")
-        decode_valid &= isinstance(result, Parked) and result.layout == layout
-    circular = naive_parking_set(sizes, "circular")
+    walks = decode_walks(sizes) if walks is None else walks
+    circular = naive_parking_set(sizes, "circular") if circular is None else circular
     linear = naive_parking_set(sizes, "linear")
-    restricted = {
-        p for p in circular
-        if naive_free_spots(
-            naive_simulate(sizes, PrefSequence(p, "circular"), "circular").layout
-        ) == {m}
-    }
-    rotation_invariant = all(
-        tuple((c - 1 + a) % m + 1 for c in p) in circular
-        for p in circular
-        for a in range(m)
-    )
+
+    def layout(prefs):
+        return naive_simulate(sizes, PrefSequence(prefs, "circular"), "circular").layout
+
+    decodes = [
+        (turn(prefs, c - prefs[0], m), turn(starts, c - prefs[0], m))
+        for prefs, starts in walks
+        for c in range(1, m + 1)
+    ]
+    image = {prefs for prefs, _ in decodes}
+    restricted = {p for p in circular if naive_free_spots(layout(p)) == {m}}
     return BijectionReport(
         sizes=sizes,
-        option_sequences=len(image),
-        distinct_decodes=len(set(image)),
+        option_sequences=len(decodes),
+        distinct_decodes=len(image),
         circular_parking_sequences=len(circular),
         linear_parking_sequences=len(linear),
-        decode_valid=decode_valid,
-        decode_injective=len(set(image)) == len(image),
-        image_equals_circular_set=set(image) == circular,
-        image_count_matches_formula=len(set(image)) == count_circular(sizes),
+        decode_valid=all(
+            prefs in circular and layout(prefs).starts == starts
+            for prefs, starts in decodes
+        ),
+        decode_injective=len(image) == len(decodes),
+        image_equals_circular_set=image == circular,
+        image_count_matches_formula=len(image) == count_circular(sizes),
         restriction_matches_linear_set=restricted == linear,
-        rotation_invariant=rotation_invariant,
+        rotation_invariant=all(
+            turn(p, a, m) in circular for p in circular for a in range(m)
+        ),
     )
+
+
+def faulted_checks(
+    sizes, walks=None, counts=None, dropped=frozenset()
+) -> BijectionReport:
+    """bijection_checks(sizes) on faulted inputs: `walks` fed in code order
+    through `_walk`, which must use them all up; `counts` in place of
+    `_option_counts`; the sequences in `dropped` left out of the circular
+    walk, while the linear walk is untouched."""
+    fed = iter(walks or ())
+
+    def parking_states(sizes, flavor):
+        states = _parking_states(sizes, flavor)
+        if flavor == "linear":
+            return states
+        return (state for state in states if state[0] not in dropped)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if walks is not None:  # bijection_checks reads no empty spot
+            monkeypatch.setattr(
+                parkseq.bruteforce, "_walk", lambda *_: (*next(fed), None))
+        if counts is not None:
+            monkeypatch.setattr(parkseq.bruteforce, "_option_counts", lambda _: counts)
+        monkeypatch.setattr(parkseq.bruteforce, "_parking_states", parking_states)
+        report = bijection_checks(sizes)
+    assert next(fed, None) is None
+    return report
 
 
 @pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
@@ -448,104 +483,167 @@ def test_parking_states_yield_the_simulated_starts(comp, flavor):
         assert naive_simulate(sizes, seq, flavor).layout.starts == starts
 
 
-WITNESS_CASES = [(1, 2), (2, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]
+# Each fault of the table below takes the size vector, the decoded walks and
+# the circular parking set, and gives the faulted inputs of one or more runs
+# of faulted_checks. The walk faults change the first walk, where cars 2..n
+# are all on code 0, so every block decodes it once.
 
 
-def report_with_first_walk(monkeypatch, sizes, corrupt):
-    """bijection_checks with the first (prefs, starts, e) that `_walk`
-    returns (cars 2..n all on code 0) replaced by corrupt(prefix, rest),
-    which may call `_walk` itself; every anchor turns that one pair."""
-    calls = 0
-
-    def patched(*args):
-        nonlocal calls
-        calls += 1
-        return corrupt(*args) if calls == 1 else _walk(*args)
-
-    monkeypatch.setattr(parkseq.bruteforce, "_walk", patched)
-    report = bijection_checks(sizes)
-    assert calls == count_linear(sizes)
-    return report
+def moved_start(sizes, walks, circular):
+    """Car 1 starts one spot past the spot it parks at."""
+    (prefs, (start, *starts)), *rest = walks
+    return [{"walks": [(prefs, (start % sizes.circle_size + 1, *starts)), *rest]}]
 
 
-def prefer_2(*args):
-    """The walk with car 1 preferring spot 2; it still parks at spot 1."""
-    prefs, starts, e = _walk(*args)
-    return (2,) + prefs[1:], starts, e
-
-
-@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
-def test_decode_witness_sees_a_moved_start(monkeypatch, comp):
-    sizes = SizeVector(comp)
-    m = sizes.circle_size
-
-    def move_first_start(*args):
-        prefs, starts, e = _walk(*args)
-        return prefs, (starts[0] % m + 1,) + starts[1:], e
-
-    report = report_with_first_walk(monkeypatch, sizes, move_first_start)
-    assert not report.decode_valid
-    assert report.image_equals_circular_set  # the preferences are untouched
-
-
-@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
-def test_decode_witness_sees_preferences_that_do_not_park(monkeypatch, comp):
-    # no turn of a tuple that does not park parks, so all M decodes of the
-    # stray walk are stray
-    sizes = SizeVector(comp)
+def stray_preferences(sizes, walks, circular):
+    """The least tuple that does not park; no turn of it parks either."""
     domain = itertools.product(range(1, sizes.circle_size + 1), repeat=sizes.n)
-    stray = min(set(domain) - naive_parking_set(sizes, "circular"))
-
-    def stray_prefs(*args):
-        _, starts, e = _walk(*args)
-        return stray, starts, e
-
-    report = report_with_first_walk(monkeypatch, sizes, stray_prefs)
-    assert not report.decode_valid
-    assert not report.image_equals_circular_set
+    (_, starts), *rest = walks
+    return [{"walks": [(min(set(domain) - circular), starts), *rest]}]
 
 
-@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
-def test_dropped_option_sequence_fails_a_count_check(monkeypatch, comp):
-    # the first walk repeats the second (the last car on code 1), so every
-    # anchor decodes one pair twice and the M option sequences of the first
-    # walk never reach the image; each pair decoded still parks
-    sizes = SizeVector(comp)
+def second_walk_twice(sizes, walks, circular):
+    """The second walk (the last car on code 1) in place of the first, so
+    each block decodes one pair twice; each pair decoded still parks."""
+    return [{"walks": [walks[1], *walks[1:]]}]
+
+
+def car_1_prefers_2(sizes, walks, circular):
+    """Car 1 prefers spot 2 but still parks at spot 1, so each of its
+    decodes has car 1 parked one spot before its preference."""
+    (prefs, starts), *rest = walks
+    return [{"walks": [((2,) + prefs[1:], starts), *rest]}]
+
+
+def last_code_dropped(sizes, walks, circular):
+    """The last car loses its last code, so the walks on it are never
+    decoded."""
+    *counts, k = _option_counts(sizes)
+    return [{"counts": [*counts, k - 1],
+             "walks": [w for i, w in enumerate(walks) if i % k < k - 1]}]
+
+
+def each_rotation_of_the_first(sizes, walks, circular):
+    """Block 1's first sequence, then each of its turns, one in each later
+    block, dropped on its own."""
     m = sizes.circle_size
-
-    def second_walk(prefix, rest):
-        return _walk(prefix, rest[:-1] + (1,))
-
-    report = report_with_first_walk(monkeypatch, sizes, second_walk)
-    assert report.option_sequences == count_circular(sizes)
-    assert report.distinct_decodes == count_circular(sizes) - m
-    # each count check must trip on its own: M·∏ option sequences were
-    # decoded, but M fewer distinct pairs came out
-    assert not report.image_count_matches_formula
-    assert not report.decode_injective
-    assert not report.image_equals_circular_set
-    assert report.decode_valid
-    assert report.rotation_invariant
+    return [{"dropped": {turn(min(circular), a, m)}} for a in range(m)]
 
 
-@pytest.mark.parametrize("comp", WITNESS_CASES, ids=str)
-def test_dropped_code_fails_the_formula_count(monkeypatch, comp):
-    # the last car loses its last code, so its option sequences are never
-    # decoded: the decode stays injective and valid, and only the image's
-    # count against the formula (and the set itself) can see the loss
+def last_sequence(sizes, walks, circular):
+    """The last sequence the circular walk yields, in block M."""
+    assert max(circular)[0] == sizes.circle_size
+    return [{"dropped": {max(circular)}}]
+
+
+def each_block(sizes, walks, circular):
+    """Each block of car 1's preference dropped whole, on its own; the
+    decodes that land in it then find nothing."""
+    m = sizes.circle_size
+    blocks = [{p for p in circular if p[0] == c} for c in range(1, m + 1)]
+    assert all(len(block) == count_linear(sizes) for block in blocks)
+    return [{"dropped": block} for block in blocks]
+
+
+def whole_set(sizes, walks, circular):
+    """Every circular sequence dropped: the empty set is closed."""
+    return [{"dropped": circular}]
+
+
+def each_one_car_sequence(sizes, walks, circular):
+    """One car parks from every spot; each such sequence dropped on its own."""
+    assert circular == {(c,) for c in range(1, sizes.circle_size + 1)}
+    return [{"dropped": {p}} for p in circular]
+
+
+# distinct decodes with car 1 preferring spot 2 in the first walk: with two
+# or more cars, each of its M decodes repeats another walk's decode
+PREFER_2_DISTINCT = {(1,): 2, (3,): 4, (1, 2): 8, (2, 2): 15, (2, 1, 2): 144,
+                     (1, 2, 1): 95, (3, 1, 2): 245}
+WITNESS_CASES = [(1, 2), (2, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]
+ROTATION_CASES = [(1,), (2, 1), (1, 2, 1), (3, 1, 2)]
+
+# fault, the size vectors it runs on, the checks it must turn False, and the
+# report fields it pins on a size vector s
+FAULTS = [
+    (moved_start, WITNESS_CASES, {"decode_valid"},
+     lambda s: {"image_equals_circular_set": True}),
+    (stray_preferences, WITNESS_CASES, {"decode_valid", "image_equals_circular_set"},
+     lambda s: {}),
+    (second_walk_twice, WITNESS_CASES,
+     {"decode_injective", "image_equals_circular_set", "image_count_matches_formula"},
+     lambda s: {"option_sequences": count_circular(s),
+                "distinct_decodes": count_circular(s) - s.circle_size,
+                "decode_valid": True, "rotation_invariant": True}),
+    (car_1_prefers_2, list(PREFER_2_DISTINCT), {"decode_valid"},
+     lambda s: {"option_sequences": count_circular(s),
+                "distinct_decodes": PREFER_2_DISTINCT[s.sizes],
+                "circular_parking_sequences": count_circular(s),
+                "linear_parking_sequences": count_linear(s),
+                "decode_injective": s.n == 1,
+                "image_equals_circular_set": s.n == 1,
+                "image_count_matches_formula": s.n == 1,
+                "restriction_matches_linear_set": True, "rotation_invariant": True}),
+    (last_code_dropped, WITNESS_CASES,
+     {"image_equals_circular_set", "image_count_matches_formula"},
+     lambda s: dict.fromkeys(
+         ("option_sequences", "distinct_decodes"),
+         count_circular(s) - count_circular(s) // _option_counts(s)[-1],
+     ) | {"decode_injective": True, "decode_valid": True}),
+    (each_rotation_of_the_first, [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)],
+     {"rotation_invariant", "image_equals_circular_set"},
+     lambda s: {"circular_parking_sequences": count_circular(s) - 1}),
+    (last_sequence, ROTATION_CASES, {"rotation_invariant"},
+     lambda s: {"circular_parking_sequences": count_circular(s) - 1}),
+    (each_block, ROTATION_CASES,
+     {"rotation_invariant", "decode_valid", "image_equals_circular_set"},
+     lambda s: {"circular_parking_sequences": count_circular(s) - count_linear(s)}),
+    (whole_set, [(1,), (2,), (5,)], {"decode_valid", "restriction_matches_linear_set"},
+     lambda s: {"circular_parking_sequences": 0, "rotation_invariant": True}),
+    (each_one_car_sequence, [(1,), (2,), (4,)], {"rotation_invariant"},
+     lambda s: {"circular_parking_sequences": s.sizes[0]}),
+]
+
+
+@pytest.mark.parametrize("fault, comp, flips, pins", [
+    pytest.param(fault, comp, flips, pins, id=f"{fault.__name__}-{comp}")
+    for fault, comps, flips, pins in FAULTS
+    for comp in comps
+])
+def test_bijection_checks_see_each_fault(fault, comp, flips, pins):
+    # each faulted run reports what the literal reference reports on the
+    # same inputs, turns the row's checks False and keeps its pinned fields
     sizes = SizeVector(comp)
-    counts = _option_counts(sizes)
-    monkeypatch.setattr(
-        parkseq.bruteforce, "_option_counts",
-        lambda sizes: counts[:-1] + [counts[-1] - 1],
-    )
-    report = bijection_checks(sizes)
-    kept = count_circular(sizes) - count_circular(sizes) // counts[-1]
-    assert report.option_sequences == report.distinct_decodes == kept
-    assert report.decode_injective
-    assert report.decode_valid
-    assert not report.image_count_matches_formula
-    assert not report.image_equals_circular_set
+    walks, circular = decode_walks(sizes), naive_parking_set(sizes, "circular")
+    for inputs in fault(sizes, walks, circular):
+        report = faulted_checks(sizes, **inputs)
+        assert report == reference_bijection_report(
+            sizes, inputs.get("walks", walks), circular - inputs.get("dropped", set()))
+        assert {name for name in flips if report.checks[name]} == set()
+        pinned = pins(sizes)
+        assert {name: getattr(report, name) for name in pinned} == pinned
+
+
+@st.composite
+def dropped_sequences(draw):
+    # whole rotation orbits with some single sequences dropped, so that
+    # closed and unclosed sets are both drawn often
+    sizes = SizeVector(draw(st.sampled_from(list(compositions(3, 4)))))
+    m = sizes.circle_size
+    parking = sorted(naive_parking_set(sizes, "circular"))
+    seeds = draw(st.lists(st.sampled_from(parking), max_size=3))
+    singles = draw(st.lists(st.sampled_from(parking), max_size=2))
+    return sizes, {turn(p, a, m) for p in seeds for a in range(m)} | set(singles)
+
+
+@given(dropped_sequences())
+def test_one_step_rotation_closure_equals_every_rotation(case):
+    # the block-against-block-1 check reads as closure under every turn:
+    # the drawn drops are the last row of the fault table
+    sizes, dropped = case
+    kept = naive_parking_set(sizes, "circular") - dropped
+    assert faulted_checks(sizes, dropped=dropped) == \
+        reference_bijection_report(sizes, circular=kept)
 
 
 @pytest.mark.parametrize(
@@ -567,12 +665,12 @@ def test_bijection_checks_walk_and_turn_counts(monkeypatch, comp):
         walks += 1
         return _walk(*args)
 
-    def turn(spots, a, m):
+    def counted_turn(spots, a, m):
         turned[len(spots)] += 1
         return _turn(spots, a, m)
 
     monkeypatch.setattr(parkseq.bruteforce, "_walk", walk)
-    monkeypatch.setattr(parkseq.bruteforce, "_turn", turn)
+    monkeypatch.setattr(parkseq.bruteforce, "_turn", counted_turn)
     report = bijection_checks(sizes)
     assert walks == rows
     assert turned == {2 * n * rows: m}
@@ -590,15 +688,17 @@ def test_rotation_check_turns_block_1_when_its_image_differs(monkeypatch, comp):
     m, n, rows = sizes.circle_size, sizes.n, count_linear(sizes)
     turned = Counter()
 
-    def turn(spots, a, m):
+    def counted_turn(spots, a, m):
         turned[len(spots)] += 1
         return _turn(spots, a, m)
 
-    monkeypatch.setattr(parkseq.bruteforce, "_turn", turn)
-    report = report_with_first_walk(monkeypatch, sizes, prefer_2)
+    monkeypatch.setattr(parkseq.bruteforce, "_turn", counted_turn)
+    [inputs] = car_1_prefers_2(sizes, decode_walks(sizes), None)
+    report = faulted_checks(sizes, **inputs)
     # one group of walks per car 1 preference, each turned once per block
     groups = Counter({2 * n: m}) + Counter({2 * n * (rows - 1): m})
     assert turned == groups + Counter({n * rows: m - 1})
+    assert report == reference_bijection_report(sizes, inputs["walks"])
     assert not report.image_equals_circular_set
     assert report.rotation_invariant
 
@@ -607,140 +707,6 @@ def test_rotation_check_turns_block_1_when_its_image_differs(monkeypatch, comp):
 def test_bijection_checks_never_simulate(no_simulators, comp):
     sizes = SizeVector(comp)
     assert bijection_checks(sizes) == reference_bijection_report(sizes)
-
-
-def report_without(monkeypatch, sizes, dropped):
-    """bijection_checks with the circular parking sequences in `dropped`
-    left out of the circular walk; the linear walk is untouched."""
-    def walk_without(sizes, flavor):
-        states = _parking_states(sizes, flavor)
-        if flavor == "linear":
-            return states
-        return (state for state in states if state[0] not in dropped)
-
-    monkeypatch.setattr(parkseq.bruteforce, "_parking_states", walk_without)
-    return bijection_checks(sizes)
-
-
-@pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)])
-def test_rotation_closure_sees_a_missing_rotation(monkeypatch, comp):
-    # block 1's first sequence, then each of its turns, one in each later
-    # block, is dropped on its own
-    sizes = SizeVector(comp)
-    m = sizes.circle_size
-    first = min(naive_parking_set(sizes, "circular"))
-    assert report_without(monkeypatch, sizes, set()).rotation_invariant
-    for a in range(m):
-        rotated = rotate(sizes, PrefSequence(first, "circular"), a).prefs
-        report = report_without(monkeypatch, sizes, {rotated})
-        assert not report.rotation_invariant
-        assert report.circular_parking_sequences == count_circular(sizes) - 1
-        assert not report.image_equals_circular_set
-
-
-@pytest.mark.parametrize("comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2)], ids=str)
-def test_rotation_closure_sees_the_last_sequence_missing(monkeypatch, comp):
-    # the last sequence the circular walk yields, in block M, is dropped
-    sizes = SizeVector(comp)
-    last = max(naive_parking_set(sizes, "circular"))
-    assert last[0] == sizes.circle_size
-    report = report_without(monkeypatch, sizes, {last})
-    assert not report.rotation_invariant
-    assert report.circular_parking_sequences == count_circular(sizes) - 1
-
-
-@pytest.mark.parametrize("comp", [(1,), (2, 1), (1, 2, 1), (3, 1, 2)], ids=str)
-def test_rotation_closure_sees_a_missing_block(monkeypatch, comp):
-    # each block of car 1's preference is dropped whole on its own; the
-    # decodes that land in it then find nothing
-    sizes = SizeVector(comp)
-    parking = naive_parking_set(sizes, "circular")
-    for c in range(1, sizes.circle_size + 1):
-        block = {p for p in parking if p[0] == c}
-        assert len(block) == count_linear(sizes)
-        report = report_without(monkeypatch, sizes, block)
-        assert not report.rotation_invariant
-        assert report.circular_parking_sequences == len(parking) - len(block)
-        assert not report.decode_valid
-        assert not report.image_equals_circular_set
-
-
-@pytest.mark.parametrize("size", [1, 2, 5])
-def test_rotation_closure_of_an_empty_collection(monkeypatch, size):
-    # every circular sequence dropped: the empty set is closed
-    sizes = SizeVector((size,))
-    report = report_without(monkeypatch, sizes, naive_parking_set(sizes, "circular"))
-    assert report.circular_parking_sequences == 0
-    assert report.rotation_invariant
-    assert not report.decode_valid
-    assert not report.restriction_matches_linear_set
-
-
-def test_rotation_closure_with_one_coordinate(monkeypatch):
-    for size in (1, 2, 4):
-        sizes = SizeVector((size,))
-        parking = naive_parking_set(sizes, "circular")
-        assert parking == {(c,) for c in range(1, size + 2)}
-        assert report_without(monkeypatch, sizes, set()).rotation_invariant
-        for p in parking:
-            report = report_without(monkeypatch, sizes, {p})
-            assert not report.rotation_invariant
-            assert report.circular_parking_sequences == size
-
-
-@st.composite
-def dropped_sequences(draw):
-    # whole rotation orbits with some single sequences dropped, so that
-    # closed and unclosed sets are both drawn often
-    sizes = SizeVector(draw(st.sampled_from(list(compositions(3, 4)))))
-    m = sizes.circle_size
-    parking = sorted(naive_parking_set(sizes, "circular"))
-    seeds = draw(st.lists(st.sampled_from(parking), max_size=3))
-    singles = draw(st.lists(st.sampled_from(parking), max_size=2))
-    return sizes, {_turn(p, a, m) for p in seeds for a in range(m)} | set(singles)
-
-
-@given(dropped_sequences())
-def test_one_step_rotation_closure_equals_every_rotation(case):
-    # the block-against-block-1 check reads as closure under every turn
-    sizes, dropped = case
-    m = sizes.circle_size
-    kept = naive_parking_set(sizes, "circular") - dropped
-    literal = all(
-        tuple((c - 1 + a) % m + 1 for c in p) in kept
-        for p in kept
-        for a in range(m)
-    )
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        report = report_without(monkeypatch, sizes, dropped)
-    assert report.rotation_invariant == literal
-    assert report.circular_parking_sequences == len(kept)
-
-
-@pytest.mark.parametrize(
-    "comp, distinct",
-    [((1,), 2), ((3,), 4), ((1, 2), 8), ((2, 2), 15), ((2, 1, 2), 144),
-     ((1, 2, 1), 95), ((3, 1, 2), 245)],
-    ids=str,
-)
-def test_decode_witness_sees_car_1_preferring_2(monkeypatch, comp, distinct):
-    # the first walk has car 1 prefer spot 2 but still park at spot 1, so
-    # its turn by c - 2 decodes into block c with car 1 parked one spot
-    # before its preference: none of its M decodes is valid, and with two
-    # or more cars each of them repeats another walk's decode here
-    sizes = SizeVector(comp)
-    report = report_with_first_walk(monkeypatch, sizes, prefer_2)
-    one_car = sizes.n == 1
-    assert report.option_sequences == count_circular(sizes)
-    assert report.distinct_decodes == distinct
-    assert report.circular_parking_sequences == count_circular(sizes)
-    assert report.linear_parking_sequences == count_linear(sizes)
-    assert not report.decode_valid
-    assert report.decode_injective is one_car
-    assert report.image_equals_circular_set is one_car
-    assert report.image_count_matches_formula is one_car
-    assert report.restriction_matches_linear_set
-    assert report.rotation_invariant
 
 
 @pytest.mark.parametrize(

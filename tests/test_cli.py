@@ -65,20 +65,45 @@ with open(GOLDEN) as f:
     CLI_ROWS = json.load(f)["cli"]
 
 
+def run_main(argv):
+    """main(argv) with its exit code and both streams, argparse's own
+    SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("case", CLI_ROWS, ids=lambda c: " ".join(c["argv"]))
 def test_cli_stdout(case, monkeypatch):
     # --help wraps at 80 columns whatever the terminal, and exits
     # through argparse's SystemExit(0)
     monkeypatch.setenv("COLUMNS", "80")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(case["argv"])
-        except SystemExit as exc:
-            code = exc.code
-    assert code == case["exit_code"]
-    assert out.getvalue() == case["stdout"]
-    assert err.getvalue() == case["stderr"]
+    assert run_main(case["argv"]) == (case["exit_code"], case["stdout"], case["stderr"])
+
+
+def assert_unknown_subcommand(code, out, err):
+    """`parkseq bogus` exits 2 with the top-level usage and argparse's
+    error. How that error lists the choices is the interpreter's own text
+    (quoted on 3.10 to 3.12 and on 3.13.0, bare on 3.13.13), so it is not a
+    cli row: only what holds on every version is asserted."""
+    choose_from = ("parkseq: error: argument subcommand: invalid choice: "
+                   "'bogus' (choose from ")
+    usage, error, end = err.split("\n")
+    assert (code, out, end) == (2, "", "")
+    assert usage == "usage: parkseq [-h] {simulate,count,verify,bijection,sample} ..."
+    assert error.startswith(choose_from) and error.endswith(")")
+    choices = error[len(choose_from):-1].split(", ")
+    assert [choice.strip("'") for choice in choices] == [
+        "simulate", "count", "verify", "bijection", "sample"]
+
+
+def test_unknown_subcommand(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_unknown_subcommand(*run_main(["bogus"]))
 
 
 def test_cli_rows_are_well_formed():
@@ -364,21 +389,19 @@ class TestProcessLevel:
         )
 
     @pytest.mark.parametrize(
-        "case",
-        [row for row in CLI_ROWS if row["argv"] in (
-            ["simulate", "--sizes", "2,2"],
-            ["bogus"],
-            ["sample", "--sizes", "2,2", "--count", "1"],
-        )],
-        ids=lambda c: " ".join(c["argv"]),
+        "call", ["simulate --sizes 2,2", "bogus", "sample --sizes 2,2 --count 1"]
     )
-    def test_argparse_exit_reaches_the_shell(self, case):
+    def test_argparse_exit_reaches_the_shell(self, call):
         # a missing flag, an unknown subcommand and the mandatory --seed:
-        # argparse's own SystemExit(2), seen from outside the interpreter
-        proc = self.run(*case["argv"])
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            case["exit_code"], case["stdout"], case["stderr"]
-        )
+        # argparse's own SystemExit(2), seen from outside the interpreter,
+        # with the bytes of the call's cli row where it has one
+        proc = self.run(*call.split())
+        got = (proc.returncode, proc.stdout, proc.stderr)
+        if call == "bogus":
+            assert_unknown_subcommand(*got)
+        else:
+            row = next(r for r in CLI_ROWS if r["argv"] == call.split())
+            assert got == (row["exit_code"], row["stdout"], row["stderr"])
 
     def test_results_on_stdout_only(self):
         proc = self.run("count", "--sizes", "2,2,1")

@@ -98,119 +98,80 @@ class TestInputContract:
             sv.total = 6
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: PrefSequence((1, 2), "spiral"),
-        lambda: PrefSequence((1, 0)),
-        lambda: PrefSequence((1, -3), "circular"),
-        lambda: PrefSequence((1, 2.0)),
-        lambda: PrefSequence((1, "2")),
-        lambda: Layout(SizeVector((2, 1)), (1,)),
-        lambda: Layout(SizeVector((2,)), (1, 3), "circular"),
-        lambda: Layout(SizeVector((2,)), (1,), "Circular"),
+CONSTRUCTOR_CALLS = {
+    "unknown-flavor": lambda: PrefSequence((1, 2), "spiral"),
+    "zero-pref": lambda: PrefSequence((1, 0)),
+    "negative-pref": lambda: PrefSequence((1, -3), "circular"),
+    "float-pref": lambda: PrefSequence((1, 2.0)),
+    "str-pref": lambda: PrefSequence((1, "2")),
+    "too-few-starts": lambda: Layout(SizeVector((2, 1)), (1,)),
+    "too-many-starts": lambda: Layout(SizeVector((2,)), (1, 3), "circular"),
+    "unknown-layout-flavor": lambda: Layout(SizeVector((2,)), (1,), "Circular"),
+    "unknown-car-option":
         lambda: decode(SizeVector((1, 1)), OptionSequence(1, ("direct",))),
-        lambda: options_for_car(SizeVector((1, 1, 1)), 1),
-        lambda: options_for_car(SizeVector((1, 1, 1)), 4),
+    "car-index-below-2": lambda: options_for_car(SizeVector((1, 1, 1)), 1),
+    "car-index-above-n": lambda: options_for_car(SizeVector((1, 1, 1)), 4),
+    "float-rotation":
         lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 4), "circular"), 1.5),
+    "linear-rotation":
         lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 2), "linear"), 1),
+    "too-long-rotation":
         lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 2, 3), "circular"), 1),
+    "out-of-range-rotation":
         lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 6), "circular"), 1),
+    "float-anchor":
         lambda: decode(SizeVector((2, 2)), OptionSequence(1.5, (Direct(1),))),
+    "float-interval":
         lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Direct(1.0),))),
+    "float-cruise-car":
         lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Cruise(1.0, 1),))),
+    "float-cruise-offset":
         lambda: decode(SizeVector((2, 2)), OptionSequence(1, (Cruise(1, 1.5),))),
-        lambda: Layout(SizeVector((2, 3)), (1, 3)).block(0),
-        lambda: Layout(SizeVector((2, 3)), (1, 3)).block(-1),
-        lambda: Layout(SizeVector((2, 3)), (1, 3)).block(3),
-        # one integer rule: an exact int in range, so bool is refused
-        lambda: SizeVector((True, 2)),
-        lambda: PrefSequence((True, 2)),
-        lambda: Layout(SizeVector((1, 2)), (True, 2)),
-        lambda: Layout(SizeVector((1, 2)), (1, 2)).block(True),
-        lambda: option_count(SizeVector((1, 1)), True),
-        lambda: options_for_car(SizeVector((1, 1, 1)), True),
+    "block-of-car-0": lambda: Layout(SizeVector((2, 3)), (1, 3)).block(0),
+    "block-of-car-minus-1": lambda: Layout(SizeVector((2, 3)), (1, 3)).block(-1),
+    "block-of-car-above-n": lambda: Layout(SizeVector((2, 3)), (1, 3)).block(3),
+    # one integer rule: an exact int in range, so bool is refused
+    "bool-size": lambda: SizeVector((True, 2)),
+    "bool-pref": lambda: PrefSequence((True, 2)),
+    "bool-start": lambda: Layout(SizeVector((1, 2)), (True, 2)),
+    "bool-block-car": lambda: Layout(SizeVector((1, 2)), (1, 2)).block(True),
+    "bool-option-count": lambda: option_count(SizeVector((1, 1)), True),
+    "bool-options-for-car": lambda: options_for_car(SizeVector((1, 1, 1)), True),
+    "bool-anchor":
         lambda: decode(SizeVector((1, 1)), OptionSequence(True, (Direct(1),))),
+    "bool-interval":
         lambda: decode(SizeVector((1, 1)), OptionSequence(1, (Direct(True),))),
+    "bool-cruise-car":
         lambda: decode(SizeVector((1, 1)), OptionSequence(1, (Cruise(True, 1),))),
+    "bool-cruise-offset":
         lambda: decode(SizeVector((1, 1)), OptionSequence(1, (Cruise(1, True),))),
+    "bool-rotation":
         lambda: rotate(SizeVector((2, 2)), PrefSequence((1, 4), "circular"), True),
-        lambda: count_classical(True),
-        lambda: verify(SizeVector((2, 2)), partitions=True),
-        lambda: verify(SizeVector((2, 2)), budget=True),
-        lambda: verify_sweep(True, 2),
-        lambda: verify_sweep(2, True),
-        lambda: list(compositions(True, 3)),
-        lambda: list(compositions(3, True)),
-        lambda: is_classical_parking_function([True]),
-        # Layout's starts lie on its lot: [1, T] or [1, M]
-        lambda: Layout(SizeVector((1, 2)), (0, 2)),
-        lambda: Layout(SizeVector((1, 2)), (1, -5)),
-        lambda: Layout(SizeVector((1, 2)), (1, 4)),
-        lambda: Layout(SizeVector((1, 2)), (5, 2), "circular"),
-        lambda: Layout(SizeVector((1, 2)), (1, 2.5)),
-        # and on the line, each block ends on it: s + y - 1 <= T
-        lambda: Layout(SizeVector((1, 2)), (1, 3)),
-        lambda: Layout(SizeVector((3, 1)), (3, 1)),
-        # non-integers that ended in a float or a TypeError
-        lambda: count_classical(2.5),
-        lambda: verify(SizeVector((2, 2)), partitions=2.5),
-        lambda: list(compositions(2.5, 3)),
-    ],
-    ids=[
-        "unknown-flavor",
-        "zero-pref",
-        "negative-pref",
-        "float-pref",
-        "str-pref",
-        "too-few-starts",
-        "too-many-starts",
-        "unknown-layout-flavor",
-        "unknown-car-option",
-        "car-index-below-2",
-        "car-index-above-n",
-        "float-rotation",
-        "linear-rotation",
-        "too-long-rotation",
-        "out-of-range-rotation",
-        "float-anchor",
-        "float-interval",
-        "float-cruise-car",
-        "float-cruise-offset",
-        "block-of-car-0",
-        "block-of-car-minus-1",
-        "block-of-car-above-n",
-        "bool-size",
-        "bool-pref",
-        "bool-start",
-        "bool-block-car",
-        "bool-option-count",
-        "bool-options-for-car",
-        "bool-anchor",
-        "bool-interval",
-        "bool-cruise-car",
-        "bool-cruise-offset",
-        "bool-rotation",
-        "bool-count-classical",
-        "bool-partitions",
-        "bool-budget",
-        "bool-sweep-max-n",
-        "bool-sweep-max-total",
-        "bool-compositions-max-n",
-        "bool-compositions-max-total",
-        "bool-classical-entry",
-        "start-0",
-        "start-minus-5",
-        "linear-start-T-plus-1",
-        "circular-start-M-plus-1",
-        "float-start",
-        "linear-block-end-T-plus-1",
-        "linear-first-block-end-T-plus-1",
-        "float-count-classical",
-        "float-partitions",
-        "float-compositions-bound",
-    ],
-)
+    "bool-count-classical": lambda: count_classical(True),
+    "bool-partitions": lambda: verify(SizeVector((2, 2)), partitions=True),
+    "bool-budget": lambda: verify(SizeVector((2, 2)), budget=True),
+    "bool-sweep-max-n": lambda: verify_sweep(True, 2),
+    "bool-sweep-max-total": lambda: verify_sweep(2, True),
+    "bool-compositions-max-n": lambda: list(compositions(True, 3)),
+    "bool-compositions-max-total": lambda: list(compositions(3, True)),
+    "bool-classical-entry": lambda: is_classical_parking_function([True]),
+    # Layout's starts lie on its lot: [1, T] or [1, M]
+    "start-0": lambda: Layout(SizeVector((1, 2)), (0, 2)),
+    "start-minus-5": lambda: Layout(SizeVector((1, 2)), (1, -5)),
+    "linear-start-T-plus-1": lambda: Layout(SizeVector((1, 2)), (1, 4)),
+    "circular-start-M-plus-1": lambda: Layout(SizeVector((1, 2)), (5, 2), "circular"),
+    "float-start": lambda: Layout(SizeVector((1, 2)), (1, 2.5)),
+    # and on the line, each block ends on it: s + y - 1 <= T
+    "linear-block-end-T-plus-1": lambda: Layout(SizeVector((1, 2)), (1, 3)),
+    "linear-first-block-end-T-plus-1": lambda: Layout(SizeVector((3, 1)), (3, 1)),
+    # non-integers that ended in a float or a TypeError
+    "float-count-classical": lambda: count_classical(2.5),
+    "float-partitions": lambda: verify(SizeVector((2, 2)), partitions=2.5),
+    "float-compositions-bound": lambda: list(compositions(2.5, 3)),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTOR_CALLS.values(), ids=CONSTRUCTOR_CALLS)
 def test_public_constructors_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
