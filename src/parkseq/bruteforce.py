@@ -13,13 +13,18 @@ Each flavor's lot is read from `core._lot`, which refuses unknown ones.
 
 The parking sequences themselves are listed by a depth-first walk over
 the prefixes that parked, which reads a block table (`_blocks`) per car
-once per free spot and never extends a failed prefix. It yields them in
-lexicographic order, so the bijection checks take them block by block.
+once per free spot and never extends a failed prefix. The last car's
+preferences that cruise to one free spot all park there, so the walk
+hands them over as one run (head, lo, hi, starts, mask), in lexicographic
+order: the bijection checks write each run whole into its block of car
+1's preference, and `enumerate_parking_sequences` expands the runs as
+they come.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -30,9 +35,40 @@ from .divider import _walk
 
 DEFAULT_BUDGET = 10**8
 
+# A refusal writes a number in full up to this many digits and the size
+# vector up to this many characters; past it, the number's digit count and
+# the vector's length, so the refusal costs no more than the call's input.
+_SHOWN = 10_000
+
+
+def _shown_int(x: int) -> str:
+    """x >= 1 in full up to `_SHOWN` digits, else as "<d digits>"."""
+    if x < 10**_SHOWN:
+        return _decimal(x)
+    k = int((x.bit_length() - 1) * math.log10(2))  # about log10(x), from below
+    power = 10**k
+    while power > x:  # the float's rounding only
+        power //= 10
+        k -= 1
+    while power * 10 <= x:
+        power *= 10
+        k += 1
+    return f"<{k + 1} digits>"
+
+
+def _shown_sizes(ys: tuple[int, ...]) -> str:
+    """The size vector as its tuple text up to `_SHOWN` characters, else as
+    "<length n>"; a text of n sizes has at least 3n - 1 characters."""
+    if 3 * len(ys) - 1 <= _SHOWN and sum(ys) < 10**_SHOWN:
+        text = ", ".join(map(_decimal, ys)) + "," * (len(ys) == 1)
+        if len(text) + 2 <= _SHOWN:
+            return f"({text})"
+    return f"<length {len(ys)}>"
+
 
 class BudgetExceededError(Exception):
-    """Raised instead of silently truncating an enumeration."""
+    """Raised instead of silently truncating an enumeration. `required` is
+    exact; the message writes it and the sizes within `_SHOWN`."""
 
     def __init__(self, sizes: SizeVector, flavor: Flavor, required: int, budget: int):
         self.sizes = sizes
@@ -40,8 +76,8 @@ class BudgetExceededError(Exception):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"enumeration of sizes={sizes.sizes} ({flavor}) needs "
-            f"{_decimal(required)} tuples, budget is {_decimal(budget)}"
+            f"enumeration of sizes={_shown_sizes(sizes.sizes)} ({flavor}) needs "
+            f"{_shown_int(required)} tuples, budget is {_shown_int(budget)}"
         )
 
 
@@ -180,34 +216,48 @@ def verify(
 
 def _parking_states(
     sizes: SizeVector, flavor: Flavor
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Yield (prefs, starts, final occupancy mask) for every parking
-    sequence, in lexicographic order; car i parks at starts[i-1].
+) -> Iterator[tuple[tuple[int, ...], int, int, tuple[int, ...], int]]:
+    """Yield every parking sequence as runs (head, lo, hi, starts, mask):
+    the sequences head + (c,) for lo <= c <= hi, which all park at `starts`
+    (car i at starts[i-1]) and leave the occupancy mask `mask`. Runs come
+    in lexicographic order of their sequences.
 
-    A depth-first walk over the prefixes that parked, kept on an explicit
-    stack; a failed prefix is never extended. At each prefix the
-    preferences are walked from high to low, so each knows the free spot
-    it cruises to, which is where it parks: those in (previous free spot,
-    j] reach free spot j, and the run after the last free spot cruises
-    past the end on the line and to the first free spot on the circle. So
-    a prefix costs one lookup per free spot in the block table `_tally`
-    reads (`_blocks`), and the children that park at one spot share one
-    starts tuple and one mask. Children are pushed from high to low, so
-    the lowest is popped first.
+    A depth-first walk over the prefixes of cars 1..n-1 that parked, kept
+    on an explicit stack; a failed prefix is never extended. At each prefix
+    the preferences are split by the free spot they cruise to, which is
+    where the car parks: those in (previous free spot, j] reach free spot
+    j, and the run after the last free spot cruises past the end on the
+    line and to the first free spot on the circle. So a prefix costs one
+    lookup per free spot in the block table `_tally` reads (`_blocks`),
+    and the children that park at one spot share one starts tuple and one
+    mask. Children are pushed from high to low, so the lowest is popped
+    first. The last car is not pushed: each free spot its block fits at
+    is yielded as one run, from low to high, and on the circle the
+    wrapped run, the highest preferences, comes last.
     """
     base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
-    tables = [_blocks(size, base, wrap) for size in sizes.sizes]
-    n = len(tables)
+    *tables, last = [_blocks(size, base, wrap) for size in sizes.sizes]
     stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
     while stack:
         prefix, starts, mask = stack.pop()
-        depth = len(prefix)
-        if depth == n:
-            yield prefix, starts, mask
-            continue
-        blocks = tables[depth]
         free = full & ~mask
+        if len(prefix) == len(tables):  # the last car: one run per free spot
+            lo, rest = 1, free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length()
+                block = last[j]
+                if block and not mask & block:
+                    yield prefix, lo, j, starts + (j,), mask | block
+                lo = j + 1
+            if wrap and lo <= base:  # the run past the last free spot wraps
+                j = (free & -free).bit_length()
+                if not mask & last[j]:
+                    yield prefix, lo, base, starts + (j,), mask | last[j]
+            continue
+        blocks = tables[len(prefix)]
         if wrap:  # the trailing run wraps to the first free spot
             first = (free & -free).bit_length()
             block = blocks[first]
@@ -232,11 +282,13 @@ def enumerate_parking_sequences(
     lexicographic order.
 
     The budget is checked against the whole tuple domain, but only the
-    prefixes that parked are walked (see `_parking_states`).
+    prefixes that parked are walked (see `_parking_states`); each run of
+    the walk is expanded as it comes, so memory stays the walk's stack.
     """
     _check_budget(sizes, flavor, budget)
-    for prefs, _, _ in _parking_states(sizes, flavor):
-        yield PrefSequence(prefs, flavor)
+    for head, lo, hi, _, _ in _parking_states(sizes, flavor):
+        for c in range(lo, hi + 1):
+            yield PrefSequence(head + (c,), flavor)
 
 
 def compositions(max_n: int, max_total: int) -> Iterator[tuple[int, ...]]:
@@ -288,14 +340,18 @@ def bijection_checks(
     formula count, the spot-M-empty restriction against the linear
     parking set, and closure of the circular set under all M rotations,
     block by block of car 1's preference c = 1..M: the circular walk
-    (`_parking_states`) yields each block whole, its `count_linear`
-    sequences mapped to their starts. `_walk` places cars 2..n with car 1
+    (`_parking_states`) hands over each block as runs, which are written
+    whole into a dict of its `count_linear` sequences mapped to their
+    starts, and into the spot-M-empty set when their mask leaves spot M
+    free. `_walk` places cars 2..n with car 1
     at spot 1, once per codes of cars 2..n, and car 1's code only turns
     the walk, as in `decode` and the samplers. So the walks are laid out
     column by column, grouped by car 1's preference p (one group, p = 1,
     unless a walk is wrong), and one `_turn` by c - p of each group decodes
     into block c, where each decoded start is looked up; the blocks are
-    disjoint, so the image is compared and counted block by block. A turn
+    disjoint, so the image is compared and counted block by block, from
+    the lookups the validity check makes: the image is the block when each
+    decode is found in it and they have as many sequences. A turn
     by 1 maps block c onto block c + 1, so the set is closed under every
     rotation exactly when each block c is block 1 turned by c - 1. Turns
     compose, so the image in block c is the image in block 1 turned by
@@ -310,37 +366,44 @@ def bijection_checks(
         return [spots[k * rows:(k + 1) * rows] for k in range(width)]
 
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    codes = itertools.product(*map(range, _option_counts(sizes)[1:]))
+    codes = itertools.product(*map(range, _option_counts(sizes, prefix)[1:]))
     walks: dict[int, list[tuple[int, ...]]] = {}
-    for prefs, starts, _ in (_walk(prefix, r) for r in codes):
+    for prefs, starts, _ in map(_walk, itertools.repeat(prefix), codes):
         walks.setdefault(prefs[0], []).append(prefs + starts)
     total = m * sum(map(len, walks.values()))
     # by car 1's preference: n preference columns, then n start columns
     groups = [(p, tuple(itertools.chain(*zip(*w)))) for p, w in walks.items()]
 
+    tails = [(c,) for c in range(m + 1)]  # a run's sequences are head + tails[c]
     spot_m_empty = (1 << (m - 1)) - 1  # the final occupancy of spots 1..T
     restricted = set()
-    stream = _parking_states(sizes, "circular")
-    state = next(stream, None)
+    runs = _parking_states(sizes, "circular")
+    run = next(runs, None)
     circular = distinct = 0
     decode_valid = image_equals_circular_set = rotation_invariant = True
     for c in range(1, m + 1):
         block: dict[tuple[int, ...], tuple[int, ...]] = {}
-        while state and state[0][0] == c:
-            prefs, starts, mask = state
-            block[prefs] = starts
+        # car 1's preference: the head's first, or with one car the run's own
+        while run and (run[0] or run[1:])[0] == c:
+            head, lo, hi, starts, mask = run
+            for last in tails[lo:hi + 1]:
+                block[head + last] = starts
             if mask == spot_m_empty:
-                restricted.add(prefs)
-            state = next(stream, None)
+                restricted.update(map(head.__add__, tails[lo:hi + 1]))
+            run = next(runs, None)
         circular += len(block)
         image: set[tuple[int, ...]] = set()
+        found = True  # every decode is in the block, so the image is in it
         for p, columns in groups:
             spots = cut(_turn(columns, (c - p) % m, m), 2 * n)
             prefs = list(zip(*spots[:n]))
             image.update(prefs)
-            decode_valid &= list(map(block.get, prefs)) == list(zip(*spots[n:]))
+            witnessed = list(map(block.get, prefs))
+            valid = witnessed == list(zip(*spots[n:]))
+            decode_valid &= valid
+            found &= valid or None not in witnessed
         distinct += len(image)
-        closed = image == block.keys()
+        closed = found and len(image) == len(block)
         image_equals_circular_set &= closed
         if c == 1:  # image c is image 1 turned by c - 1: once it is block 1, no turn
             first = None if closed else tuple(itertools.chain(*zip(*block)))
@@ -350,7 +413,11 @@ def bijection_checks(
             turned = zip(*cut(_turn(first, c - 1, m), n))
             rotation_invariant &= len(block) * n == len(first) and all(
                 map(block.__contains__, turned))
-    linear_set = {prefs for prefs, _, _ in _parking_states(sizes, "linear")}
+    linear_set = {
+        head + last
+        for head, lo, hi, _, _ in _parking_states(sizes, "linear")
+        for last in tails[lo:hi + 1]
+    }
 
     return BijectionReport(
         sizes=sizes,

@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 from functools import cache
+from typing import Sequence
 
 from .core import SizeVector, _ints
 
@@ -51,11 +52,16 @@ def _decimal(x: int) -> str:
     return _digits(x, k).lstrip("0")
 
 
-def _option_counts(sizes: SizeVector) -> list[int]:
+def _option_counts(
+    sizes: SizeVector, prefix: Sequence[int] | None = None
+) -> list[int]:
     """Every car's option count in the circular divider construction, one
     code per car, car 1's is its anchor spot minus one: car 1 has M, car
-    i >= 2 has y_1 + ... + y_{i-1} cruise targets plus n + 2 - i open cells."""
-    cruise = itertools.accumulate(sizes.sizes[:-1])  # y_1 + ... + y_{i-1}
+    i >= 2 has y_1 + ... + y_{i-1} cruise targets plus n + 2 - i open cells.
+    A caller that holds the sums prefix[k] = y_1 + ... + y_k (prefix[0] =
+    0) passes them, and they are read instead of summed again."""
+    # y_1 + ... + y_{i-1}
+    cruise = itertools.accumulate(sizes.sizes[:-1]) if prefix is None else prefix[1:-1]
     direct = range(sizes.n, 1, -1)  # n + 2 - i
     return [sizes.circle_size, *map(operator.add, cruise, direct)]
 

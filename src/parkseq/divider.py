@@ -20,12 +20,15 @@ which is why the circular count is M times the linear one, and the core
 is written that way: one private walk, `_walk`, puts cars 2..n into cells
 from their codes with car 1 at spot 1 and reads off the spot its open cell
 holds, and car 1's code a then turns its (preferences, starts) by a spots
-(`circular._turn`). The samplers draw each code uniformly over its option
+(`circular._turn`). The walk keeps each car's aim as a target car and an
+offset in two flat lists and reads the preferences off the starts with
+C-level maps. The samplers draw each code uniformly over its option
 count and walk and turn the codes directly; no option object is built.
 `decode` checks an OptionSequence and turns it into codes;
 `bruteforce.bijection_checks` walks each code tuple of cars 2..n once and
 turns all the walks at once into each block of car 1's preference, a
-block at a time.
+block at a time. The option counts come from `counting._option_counts`,
+which reads the prefix sums the walk's caller already holds.
 The linear draw is the walk turned so its empty spot e, which the walk
 returns, lands on M: a turn by M - e. Car 1's code cancels out, no Layout
 is built, nothing is simulated or searched, and the tests check the turn
@@ -37,6 +40,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add
 from random import Random
 from typing import Iterator, Sequence, Union
 
@@ -95,9 +99,10 @@ def _walk(
     cell_of = [0] * n
     # the open cells in increasing order; cell 0 is never open
     open_cells = list(range(1, n + 1))
-    # car i prefers spot aim[i-1][1] (0-based) of car aim[i-1][0]'s block
+    # car i prefers spot offset[i-1] (0-based) of car target[i-1]'s block
     # (0-based car); a direct pick, like car 1, prefers its own first spot
-    aim = [(car, 0) for car in range(n)]
+    target = list(range(n))
+    offset = [0] * n
 
     for i, r in enumerate(rest, start=2):
         direct = n + 2 - i
@@ -106,7 +111,7 @@ def _walk(
         else:
             r -= direct
             j = bisect_right(prefix, r) - 1  # the 0-based car holding spot r
-            aim[i - 1] = (j, r - prefix[j])
+            target[i - 1], offset[i - 1] = j, r - prefix[j]
             # the next open cell clockwise after the target's cell
             k = bisect_left(open_cells, cell_of[j])
             p = open_cells.pop(k if k < len(open_cells) else 0)
@@ -122,7 +127,7 @@ def _walk(
         else:
             e = spot
             spot += 1
-    return tuple([starts[j] + k for j, k in aim]), tuple(starts), e
+    return tuple(map(add, map(starts.__getitem__, target), offset)), tuple(starts), e
 
 
 def decode(
@@ -191,7 +196,7 @@ def _draw(
     return car 1's code, its anchor spot minus one, with `_walk`'s
     (preferences, starts, empty spot) of the others."""
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    a, *rest = [rng.randrange(k) for k in _option_counts(sizes)]
+    a, *rest = [rng.randrange(k) for k in _option_counts(sizes, prefix)]
     return a, *_walk(prefix, rest)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -43,6 +44,7 @@ from conftest import (
     naive_simulate,
     naive_tally,
     refuse_package_bindings,
+    unlimited_str_digits,
 )
 
 
@@ -300,6 +302,7 @@ UNKNOWN_FLAVOR_CALLS = {
     "verify_sweep": lambda f: verify_sweep(1, 2, f),
     "enumerate": lambda f: next(enumerate_parking_sequences(SizeVector((2, 1)), f)),
     "tally": lambda f: _tally(SizeVector((2, 1)), f, 1, 3),
+    # the run stream refuses at its first run
     "parking_states": lambda f: next(_parking_states(SizeVector((2, 1)), f)),
 }
 
@@ -344,6 +347,38 @@ def test_budget_refusal(gate):
     assert str(refusal) == (  # the required count in full
         f"enumeration of sizes={sizes} ({flavor}) needs {required} tuples, "
         f"budget is {budget}"
+    )
+
+
+@pytest.mark.parametrize("ys, text", [
+    ((1,) * 3332 + (10,), None),  # 10,000 characters: in full
+    ((1,) * 3332 + (100,), "<length 3333>"),  # 10,001
+    ((10**9997,), "<length 1>"),  # "(1000…0,)": 10,001
+    ((10**9996,), None),  # 10,000
+], ids=["10000-chars", "10001-chars", "one-size-10001-chars", "one-size-10000-chars"])
+@pytest.mark.parametrize("required, shown", [
+    (10**10000 - 1, None),  # 10,000 digits: in full
+    (10**10000, "<10001 digits>"),
+    (2**100000, "<30103 digits>"),
+], ids=["10000-digits", "10001-digits", "2**100000"])
+def test_refusal_text_is_bounded(ys, text, required, shown):
+    # a number is written in full up to 10,000 digits and the size vector up
+    # to 10,000 characters; past that, the digit count and the length. The
+    # refusal keeps the exact count
+    refusal = BudgetExceededError(SizeVector(ys), "circular", required, 1)
+    assert refusal.required == required
+    with unlimited_str_digits():
+        text, shown = text or str(ys), shown or str(required)
+    assert str(refusal) == (
+        f"enumeration of sizes={text} (circular) needs {shown} tuples, budget is 1"
+    )
+
+
+def test_refusal_text_bounds_the_budget():
+    refusal = BudgetExceededError(SizeVector((1,)), "linear", 10**10001, 10**10000)
+    assert str(refusal) == (
+        "enumeration of sizes=(1,) (linear) needs <10002 digits> tuples, "
+        "budget is <10001 digits>"
     )
 
 
@@ -442,25 +477,38 @@ def faulted_checks(
     """bijection_checks(sizes) on faulted inputs: `walks` fed in code order
     through `_walk`, which must use them all up; `counts` in place of
     `_option_counts`; the sequences in `dropped` left out of the circular
-    walk, while the linear walk is untouched."""
+    walk, where a run that loses one is fed as one-sequence runs of the
+    rest, while the linear walk is untouched."""
     fed = iter(walks or ())
 
     def parking_states(sizes, flavor):
-        states = _parking_states(sizes, flavor)
-        if flavor == "linear":
-            return states
-        return (state for state in states if state[0] not in dropped)
+        for run in _parking_states(sizes, flavor):
+            head, lo, hi, starts, mask = run
+            kept = [c for c in range(lo, hi + 1) if head + (c,) not in dropped]
+            if flavor == "linear" or len(kept) > hi - lo:
+                yield run
+            else:
+                yield from ((head, c, c, starts, mask) for c in kept)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         if walks is not None:  # bijection_checks reads no empty spot
             monkeypatch.setattr(
                 parkseq.bruteforce, "_walk", lambda *_: (*next(fed), None))
         if counts is not None:
-            monkeypatch.setattr(parkseq.bruteforce, "_option_counts", lambda _: counts)
+            monkeypatch.setattr(parkseq.bruteforce, "_option_counts", lambda *_: counts)
         monkeypatch.setattr(parkseq.bruteforce, "_parking_states", parking_states)
         report = bijection_checks(sizes)
     assert next(fed, None) is None
     return report
+
+
+def expand(runs):
+    """The (preferences, starts, mask) of each sequence of a run stream."""
+    return [
+        (head + (c,), starts, mask)
+        for head, lo, hi, starts, mask in runs
+        for c in range(lo, hi + 1)
+    ]
 
 
 @pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
@@ -474,13 +522,54 @@ def test_bijection_checks_match_reference(comp):
 @pytest.mark.parametrize("flavor", ["linear", "circular"])
 @pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
 def test_parking_states_yield_the_simulated_starts(comp, flavor):
-    # the walk's starts are decode's witness in bijection_checks
+    # each run's starts are decode's witness in bijection_checks, and its
+    # mask the restriction's: every sequence of the run parks at the starts
+    # and leaves free exactly the spots the mask does not cover
     sizes = SizeVector(comp)
+    base = sizes.total if flavor == "linear" else sizes.circle_size
     simulate = simulate_circular if flavor == "circular" else simulate_linear
-    for prefs, starts, _ in _parking_states(sizes, flavor):
-        seq = PrefSequence(prefs, flavor)
-        assert simulate(sizes, seq).layout.starts == starts
-        assert naive_simulate(sizes, seq, flavor).layout.starts == starts
+    for head, lo, hi, starts, mask in _parking_states(sizes, flavor):
+        assert 1 <= lo <= hi <= base
+        free = {s for s in range(1, base + 1) if not mask >> (s - 1) & 1}
+        for c in range(lo, hi + 1):
+            seq = PrefSequence(head + (c,), flavor)
+            layout = simulate(sizes, seq).layout
+            assert layout.starts == starts
+            covered = {(s - 1 + k) % base + 1 for s, y in zip(starts, comp) for k in range(y)}
+            assert free == set(range(1, base + 1)) - covered
+
+
+@pytest.mark.parametrize("flavor", ["linear", "circular"])
+@pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
+def test_expanded_runs_are_the_literal_parking_set(comp, flavor):
+    # the runs, expanded, list every parking sequence once, in
+    # lexicographic order, with the starts the spot-by-spot reference parks
+    # it at
+    sizes = SizeVector(comp)
+    expected = [
+        (p, naive_simulate(sizes, PrefSequence(p, flavor), flavor).layout.starts)
+        for p in sorted(naive_parking_set(sizes, flavor))
+    ]
+    expanded = expand(_parking_states(sizes, flavor))
+    assert [(prefs, starts) for prefs, starts, _ in expanded] == expected
+
+
+def test_enumeration_holds_no_block_of_sequences():
+    # the runs are expanded as they come: consuming the 7-car circular
+    # stream through its first block of 8**6 sequences and into the second
+    # peaks far below what one block of tuples takes
+    sizes = SizeVector((1,) * 7)
+    rows = count_linear(sizes)
+    tracemalloc.start()
+    try:
+        stream = enumerate_parking_sequences(sizes, "circular")
+        for last in itertools.islice(stream, rows + 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last.prefs == (2,) + (1,) * 6
+    assert peak < rows * sys.getsizeof(tuple(range(7))) / 100
 
 
 # Each fault of the table below takes the size vector, the decoded walks and

@@ -182,7 +182,7 @@ class TestEmptySpot:
         distinct = 0
         for comp in compositions(4, 8):
             sizes = SizeVector(comp)
-            layouts = {starts for _, starts, _ in _parking_states(sizes, "circular")}
+            layouts = {run[3] for run in _parking_states(sizes, "circular")}
             distinct += len(layouts)
             for starts in layouts:
                 layout = Layout(sizes, starts, "circular")

@@ -173,6 +173,20 @@ class TestCount:
         assert (code, out) == (3, "")
         assert err.endswith(f" needs {digits} tuples, budget is 100000000\n")
 
+    @pytest.mark.parametrize("command, flavor, digits", [
+        ("verify", "linear", 315653), ("bijection", "circular", 315654)])
+    def test_refusal_on_the_most_cars_the_shell_passes(
+        self, capsys, command, flavor, digits
+    ):
+        # 65,536 unit cars: past the refusal's bound, the domain is named by
+        # its digit count and the size vector by its length
+        code, out, err = run_cli(capsys, command, "--sizes", ",".join(["1"] * 65536))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"budget exceeded: enumeration of sizes=<length 65536> ({flavor}) "
+            f"needs <{digits} digits> tuples, budget is 100000000\n"
+        )
+
 
 class TestLargeLots:
     """A lot of 10^12 spots answers at once: the cost grows with the number
