@@ -502,15 +502,6 @@ def faulted_checks(
     return report
 
 
-def expand(runs):
-    """The (preferences, starts, mask) of each sequence of a run stream."""
-    return [
-        (head + (c,), starts, mask)
-        for head, lo, hi, starts, mask in runs
-        for c in range(lo, hi + 1)
-    ]
-
-
 @pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
 def test_bijection_checks_match_reference(comp):
     sizes = SizeVector(comp)
@@ -523,20 +514,18 @@ def test_bijection_checks_match_reference(comp):
 @pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
 def test_parking_states_yield_the_simulated_starts(comp, flavor):
     # each run's starts are decode's witness in bijection_checks, and its
-    # mask the restriction's: every sequence of the run parks at the starts
-    # and leaves free exactly the spots the mask does not cover
+    # mask the restriction's: every sequence of the run parks at the starts,
+    # and the mask covers exactly the spots the parked cars cover
     sizes = SizeVector(comp)
     base = sizes.total if flavor == "linear" else sizes.circle_size
     simulate = simulate_circular if flavor == "circular" else simulate_linear
     for head, lo, hi, starts, mask in _parking_states(sizes, flavor):
         assert 1 <= lo <= hi <= base
-        free = {s for s in range(1, base + 1) if not mask >> (s - 1) & 1}
+        covered = {(s - 1 + k) % base + 1 for s, y in zip(starts, comp) for k in range(y)}
+        assert covered == {s for s in range(1, base + 1) if mask >> (s - 1) & 1}
         for c in range(lo, hi + 1):
             seq = PrefSequence(head + (c,), flavor)
-            layout = simulate(sizes, seq).layout
-            assert layout.starts == starts
-            covered = {(s - 1 + k) % base + 1 for s, y in zip(starts, comp) for k in range(y)}
-            assert free == set(range(1, base + 1)) - covered
+            assert simulate(sizes, seq).layout.starts == starts
 
 
 @pytest.mark.parametrize("flavor", ["linear", "circular"])
@@ -550,8 +539,11 @@ def test_expanded_runs_are_the_literal_parking_set(comp, flavor):
         (p, naive_simulate(sizes, PrefSequence(p, flavor), flavor).layout.starts)
         for p in sorted(naive_parking_set(sizes, flavor))
     ]
-    expanded = expand(_parking_states(sizes, flavor))
-    assert [(prefs, starts) for prefs, starts, _ in expanded] == expected
+    assert [
+        (head + (c,), starts)
+        for head, lo, hi, starts, _ in _parking_states(sizes, flavor)
+        for c in range(lo, hi + 1)
+    ] == expected
 
 
 def test_enumeration_holds_no_block_of_sequences():
