@@ -343,9 +343,10 @@ def bijection_checks(
     (`_parking_states`) hands over each block as runs, which are written
     whole into a dict of its `count_linear` sequences mapped to their
     starts, and into the spot-M-empty set when their mask leaves spot M
-    free. `_walk` places cars 2..n with car 1
-    at spot 1, once per codes of cars 2..n, and car 1's code only turns
-    the walk, as in `decode` and the samplers. So the walks are laid out
+    free. `_walk` places cars 2..n with car 1 at spot 1, once per codes
+    of cars 2..n-1 with car n's whole range, which it reads off at most
+    two layouts; car 1's code only turns the walk, as in `decode` and the
+    samplers, which walk car n's one code. So the walks are laid out
     column by column, grouped by car 1's preference p (one group, p = 1,
     unless a walk is wrong), and one `_turn` by c - p of each group decodes
     into block c, where each decoded start is looked up; the blocks are
@@ -366,10 +367,14 @@ def bijection_checks(
         return [spots[k * rows:(k + 1) * rows] for k in range(width)]
 
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    codes = itertools.product(*map(range, _option_counts(sizes, prefix)[1:]))
+    counts = _option_counts(sizes, prefix)
+    # car n's codes, handed whole to each walk (car 1's with one car, which
+    # the walk does not read)
+    lasts = range(counts[-1])
     walks: dict[int, list[tuple[int, ...]]] = {}
-    for prefs, starts, _ in map(_walk, itertools.repeat(prefix), codes):
-        walks.setdefault(prefs[0], []).append(prefs + starts)
+    for head in itertools.product(*map(range, counts[1:-1])):
+        for prefs, starts, _ in _walk(prefix, head, lasts):
+            walks.setdefault(prefs[0], []).append(prefs + starts)
     total = m * sum(map(len, walks.values()))
     # by car 1's preference: n preference columns, then n start columns
     groups = [(p, tuple(itertools.chain(*zip(*w)))) for p, w in walks.items()]

@@ -20,15 +20,20 @@ which is why the circular count is M times the linear one, and the core
 is written that way: one private walk, `_walk`, puts cars 2..n into cells
 from their codes with car 1 at spot 1 and reads off the spot its open cell
 holds, and car 1's code a then turns its (preferences, starts) by a spots
-(`circular._turn`). The walk keeps each car's aim as a target car and an
-offset in two flat lists and reads the preferences off the starts with
-C-level maps. The samplers draw each code uniformly over its option
-count and walk and turn the codes directly; no option object is built.
-`decode` checks an OptionSequence and turns it into codes;
-`bruteforce.bijection_checks` walks each code tuple of cars 2..n once and
-turns all the walks at once into each block of car 1's preference, a
-block at a time. The option counts come from `counting._option_counts`,
-which reads the prefix sums the walk's caller already holds.
+(`circular._turn`). The walk takes car n's codes as a range: it places
+cars 2..n-1 once, car n can then only take one of the two open cells
+left, so it reads off at most two layouts, and each of car n's codes gets
+the preferences of its layout's cars 1..n-1 plus car n's own spot. The
+walk keeps each car's aim as a target car and an offset in two flat lists
+and reads the preferences off the starts with C-level maps. The samplers
+draw each code uniformly over its option count and walk (with car n's one
+code) and turn the codes directly; no option object is built. `decode`
+checks an OptionSequence and turns it into codes;
+`bruteforce.bijection_checks` walks each code tuple of cars 2..n-1 once,
+with car n's whole range, and turns all the walks at once into each block
+of car 1's preference, a block at a time. The option counts come from
+`counting._option_counts`, which reads the prefix sums the walk's caller
+already holds.
 The linear draw is the walk turned so its empty spot e, which the walk
 returns, lands on M: a turn by M - e. Car 1's code cancels out, no Layout
 is built, nothing is simulated or searched, and the tests check the turn
@@ -42,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import add
 from random import Random
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 # empty_spot is unused here; only perfbench's uninstall test reads it
 from .circular import _turn, empty_spot
@@ -83,26 +88,36 @@ class OptionSequence:
 
 
 def _walk(
-    prefix: Sequence[int], rest: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    prefix: Sequence[int], rest: Sequence[int], lasts: Iterable[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The divider with car 1 at spot 1: the (preferences, starts, e) that
-    the codes rest = (r_2, ..., r_n) of cars 2..n give, where prefix[k] =
-    y_1 + ... + y_k. Car i's code r picks the (r + 1)-th open cell when r <
-    n + 2 - i, and else cruises on spot r - (n + 2 - i) of the cars before
-    i, counted in (car, offset) order: it takes the next open cell clockwise
-    after that car's cell. The cells are then walked from spot 1, car 1's
-    first; a car cell spans its size and the one open cell spans the empty
-    spot, e. They span M spots in all, so nothing wraps. Nothing is
-    checked."""
+    each code r_n in `lasts` of car n gives after the codes rest = (r_2,
+    ..., r_{n-1}) of cars 2..n-1, in the order of `lasts`, where prefix[k]
+    = y_1 + ... + y_k. Car i's code r picks the (r + 1)-th open cell when r
+    < n + 2 - i, and else cruises on spot r - (n + 2 - i) of the cars
+    before i, counted in (car, offset) order: it takes the next open cell
+    clockwise after that car's cell. The cells are then walked from spot 1,
+    car 1's first; a car cell spans its size and the one open cell spans
+    the empty spot, e. They span M spots in all, so nothing wraps.
+
+    Cars 2..n-1 are placed once. Car n then takes one of the two open
+    cells left, so at most two layouts are walked, each the first time a
+    code of car n takes its cell; each code gets that layout's starts, the
+    preferences of cars 1..n-1 read off them, and car n's own preference.
+    With one car there is no car n >= 2: `lasts` is not read, and car 1's
+    layout comes back alone. Nothing is checked."""
     n = len(prefix) - 1
+    if n == 1:
+        return [((1,), (1,), prefix[1] + 1)]
     cells = [1] + [0] * n  # the car in each cell, clockwise; 0 is open
-    cell_of = [0] * n
+    cell_of = [0] * (n - 1)
     # the open cells in increasing order; cell 0 is never open
     open_cells = list(range(1, n + 1))
-    # car i prefers spot offset[i-1] (0-based) of car target[i-1]'s block
-    # (0-based car); a direct pick, like car 1, prefers its own first spot
-    target = list(range(n))
-    offset = [0] * n
+    # car i < n prefers spot offset[i-1] (0-based) of car target[i-1]'s
+    # block (0-based car); a direct pick, like car 1, prefers its own first
+    # spot
+    target = list(range(n - 1))
+    offset = [0] * (n - 1)
 
     for i, r in enumerate(rest, start=2):
         direct = n + 2 - i
@@ -118,16 +133,34 @@ def _walk(
         cells[p] = i
         cell_of[i - 1] = p
 
-    starts = [0] * n
-    spot = 1
-    for car in cells:
-        if car:
-            starts[car - 1] = spot
-            spot += prefix[car] - prefix[car - 1]
+    # car n has two direct picks, the open cells left; layout k has car n
+    # in open_cells[k], and is walked when a code first needs it
+    layouts = [None, None]
+    walked = []
+    for r in lasts:
+        if r < 2:
+            k, j, x = r, n - 1, 0
         else:
-            e = spot
-            spot += 1
-    return tuple(map(add, map(starts.__getitem__, target), offset)), tuple(starts), e
+            r -= 2
+            j = bisect_right(prefix, r) - 1
+            k, x = bisect_left(open_cells, cell_of[j]) % 2, r - prefix[j]
+        if layouts[k] is None:
+            cells[open_cells[k]] = n
+            starts = [0] * n
+            spot = 1
+            for car in cells:
+                if car:
+                    starts[car - 1] = spot
+                    spot += prefix[car] - prefix[car - 1]
+                else:
+                    e = spot
+                    spot += 1
+            cells[open_cells[k]] = 0
+            head = tuple(map(add, map(starts.__getitem__, target), offset))
+            layouts[k] = head, tuple(starts), e
+        head, starts, e = layouts[k]
+        walked.append((head + (starts[j] + x,), starts, e))
+    return walked
 
 
 def decode(
@@ -148,22 +181,23 @@ def decode(
         raise ValueError(f"expected {n - 1} car options, got {len(opts.options)}")
 
     prefix = tuple(itertools.accumulate(ys, initial=0))
-    rest = []
+    codes = [opts.anchor - 1]
     for i, opt in enumerate(opts.options, start=2):
         direct = n + 2 - i
         if isinstance(opt, Direct):
             t = opt.interval
             _ints((t,), "car {i}: interval {} outside [1, {hi}]", hi=direct, i=i)
-            rest.append(t - 1)
+            codes.append(t - 1)
         elif isinstance(opt, Cruise):
             j, k = opt.car, opt.offset
             _ints((j,), "car {i}: cruise target {} not yet parked", hi=i - 1, i=i)
             _ints((k,), "car {i}: cruise offset {} outside [1, {hi}]", hi=ys[j - 1], i=i)
-            rest.append(direct + prefix[j - 1] + k - 1)
+            codes.append(direct + prefix[j - 1] + k - 1)
         else:
             raise ValueError(f"car {i}: unknown option {opt!r}")
 
-    prefs, starts = (_turn(x, opts.anchor - 1, m) for x in _walk(prefix, rest)[:2])
+    [walked] = _walk(prefix, codes[1:-1], codes[-1:])
+    prefs, starts = (_turn(x, codes[0], m) for x in walked[:2])
     return PrefSequence(prefs, "circular"), Layout(sizes, starts, "circular")
 
 
@@ -196,8 +230,9 @@ def _draw(
     return car 1's code, its anchor spot minus one, with `_walk`'s
     (preferences, starts, empty spot) of the others."""
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    a, *rest = [rng.randrange(k) for k in _option_counts(sizes, prefix)]
-    return a, *_walk(prefix, rest)
+    codes = [rng.randrange(k) for k in _option_counts(sizes, prefix)]
+    [walked] = _walk(prefix, codes[1:-1], codes[-1:])
+    return codes[0], *walked
 
 
 def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:

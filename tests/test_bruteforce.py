@@ -475,7 +475,8 @@ def faulted_checks(
     sizes, walks=None, counts=None, dropped=frozenset()
 ) -> BijectionReport:
     """bijection_checks(sizes) on faulted inputs: `walks` fed in code order
-    through `_walk`, which must use them all up; `counts` in place of
+    through `_walk`, one in place of each walk it returns (one per code of
+    car n it is handed), which must use them all up; `counts` in place of
     `_option_counts`; the sequences in `dropped` left out of the circular
     walk, where a run that loses one is fed as one-sequence runs of the
     rest, while the linear walk is untouched."""
@@ -492,8 +493,8 @@ def faulted_checks(
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         if walks is not None:  # bijection_checks reads no empty spot
-            monkeypatch.setattr(
-                parkseq.bruteforce, "_walk", lambda *_: (*next(fed), None))
+            monkeypatch.setattr(parkseq.bruteforce, "_walk", lambda *args: [
+                (*next(fed), None) for _ in _walk(*args)])
         if counts is not None:
             monkeypatch.setattr(parkseq.bruteforce, "_option_counts", lambda *_: counts)
         monkeypatch.setattr(parkseq.bruteforce, "_parking_states", parking_states)
@@ -732,8 +733,9 @@ def test_one_step_rotation_closure_equals_every_rotation(case):
 )
 def test_bijection_checks_walk_and_turn_counts(monkeypatch, comp):
     # the work done, counted: the walk that places cars 2..n runs once per
-    # code tuple of cars 2..n (count_linear of them, by the product
-    # formula); each of the M blocks turns the 2n columns of all the walks
+    # code tuple of cars 2..n-1, handed car n's whole range (count_linear,
+    # by the product formula, over car n's option count; once for one car);
+    # each of the M blocks turns the 2n columns of all the walks
     # with one turn, not one per decode. The image in block 1 is block 1,
     # so the rotation check reads the turned decodes and turns nothing more
     sizes = SizeVector(comp)
@@ -753,7 +755,7 @@ def test_bijection_checks_walk_and_turn_counts(monkeypatch, comp):
     monkeypatch.setattr(parkseq.bruteforce, "_walk", walk)
     monkeypatch.setattr(parkseq.bruteforce, "_turn", counted_turn)
     report = bijection_checks(sizes)
-    assert walks == rows
+    assert walks == (rows // _option_counts(sizes)[-1] if n > 1 else 1)
     assert turned == {2 * n * rows: m}
     assert report.option_sequences == count_circular(sizes)
     assert report == reference_bijection_report(sizes)

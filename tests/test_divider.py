@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parkseq.bruteforce
+import parkseq.divider
 from parkseq import (
     Cruise,
     Direct,
@@ -50,7 +52,7 @@ def decode_codes(prefix, codes):
     """What decode makes of the codes (r_1, ..., r_n), prefix[k] = y_1 + ...
     + y_k: cars 2..n walked with car 1 at spot 1, then turned by r_1."""
     m = prefix[-1] + 1
-    prefs, starts, _ = _walk(prefix, codes[1:])
+    [(prefs, starts, _)] = _walk(prefix, codes[1:-1], codes[-1:])
     return _turn(prefs, codes[0], m), _turn(starts, codes[0], m)
 
 
@@ -233,12 +235,14 @@ class TestOptionEnumeration:
     def test_one_cell_assignment_serves_every_anchor(self, comp):
         # bijection_checks walks the codes of cars 2..n once and turns the
         # result by every anchor: each turn must be the walk from that anchor
+        # (test_one_walk_over_car_n_range_equals_its_one_code_walks shows
+        # that its walks over car n's whole range are these)
         sizes = SizeVector(comp)
         m = sizes.circle_size
         prefix = tuple(itertools.accumulate(comp, initial=0))
         counts = [option_count(sizes, i) for i in range(2, sizes.n + 1)]
         for rest in itertools.product(*map(range, counts)):
-            prefs, starts, _ = _walk(prefix, rest)
+            [(prefs, starts, _)] = _walk(prefix, rest[:-1], rest[-1:])
             turned = [(_turn(prefs, a, m), _turn(starts, a, m)) for a in range(m)]
             assert turned == anchor_walks(prefix, rest)
 
@@ -251,7 +255,7 @@ class TestOptionEnumeration:
             prefix = tuple(itertools.accumulate(comp, initial=0))
             counts = [option_count(sizes, i) for i in range(2, sizes.n + 1)]
             for rest in itertools.product(*map(range, counts)):
-                prefs, starts, e = _walk(prefix, rest)
+                [(prefs, starts, e)] = _walk(prefix, rest[:-1], rest[-1:])
                 assert encode(prefix, prefs, starts) == rest
                 layout = Layout(sizes, starts, "circular")
                 assert e == empty_spot(layout)
@@ -363,6 +367,55 @@ def test_every_code_tuple_draws_each_parking_sequence_equally_often(comp):
     circular, linear = (naive_parking_set(sizes, f) for f in ("circular", "linear"))
     assert drawn[sample_circular] == dict.fromkeys(circular, 1)
     assert drawn[sample_linear] == dict.fromkeys(linear, sizes.circle_size)
+
+
+@pytest.mark.parametrize("comp", list(compositions(4, 8)), ids=str)
+def test_one_walk_over_car_n_range_equals_its_one_code_walks(comp):
+    # bijection_checks walks each code tuple of cars 2..n-1 once, with car
+    # n's whole range: that call gives, entry by entry, what each of car n's
+    # codes gives alone, and reads off at most two layouts, one per open
+    # cell left to car n. With one car, car 1's codes only turn the walk,
+    # so any of them gives car 1's layout alone
+    sizes = SizeVector(comp)
+    prefix = tuple(itertools.accumulate(comp, initial=0))
+    counts = _option_counts(sizes, prefix)
+    lasts = range(counts[-1])
+    for head in itertools.product(*map(range, counts[1:-1])):
+        walked = _walk(prefix, head, lasts)
+        alone = [_walk(prefix, head, (r,)) for r in lasts]
+        if sizes.n == 1:
+            assert walked == [((1,), (1,), sizes.circle_size)]
+            assert all(one == walked for one in alone)
+        else:
+            assert walked == [one for [one] in alone]
+        starts = [starts for _, starts, _ in walked]
+        assert len({id(s) for s in starts}) == len(set(starts)) <= 2
+
+
+@pytest.mark.parametrize("comp", [(3,), (2, 1), (1, 1, 1, 1)], ids=str)
+def test_samplers_and_decode_run_the_walk_bijection_checks_runs(monkeypatch, comp):
+    # bijection_checks witnesses the walk the samplers and decode run: the
+    # same function, called once per draw or decode with the one code of
+    # car n (car 1's when it is the only car)
+    import parkseq.bruteforce
+    import parkseq.divider
+
+    assert parkseq.bruteforce._walk is parkseq.divider._walk
+    calls = []
+
+    def walk(prefix, rest, lasts):
+        calls.append(list(lasts))
+        return _walk(prefix, rest, lasts)
+
+    monkeypatch.setattr(parkseq.divider, "_walk", walk)
+    sizes = SizeVector(comp)
+    options = enumerate_option_sequences(sizes)
+    for codes, opts in zip(option_codes(sizes), options, strict=True):
+        for sample in (sample_linear, sample_circular):
+            sample(sizes, ScriptedRandom(sizes, codes))
+        decode(sizes, opts)
+        assert calls == [[codes[-1]]] * 3
+        calls.clear()
 
 
 def random_composition(rng, total, parts):
