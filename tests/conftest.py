@@ -2,8 +2,8 @@ import functools
 import itertools
 import sys
 from collections import Counter
+from collections.abc import Iterator, Set
 from contextlib import contextmanager
-from typing import Iterator
 
 from parkseq import (
     Collision,
@@ -16,65 +16,62 @@ from parkseq import (
 from parkseq.counting import _option_counts
 
 
+def block_spots(j: int, y: int, base: int, wrap: bool) -> list[int]:
+    """The spots a car of size y parked at spot j covers, in driving order:
+    on the circle of `base` spots they wrap past `base` to 1; on the line a
+    block that ends past `base` runs off the end."""
+    return [(j - 1 + k) % base + 1 if wrap else j + k for k in range(y)]
+
+
+def naive_park(taken: Set[int], c: int, y: int, base: int, wrap: bool) -> list[int]:
+    """The literal parking step, spot by spot: a car of size y that prefers
+    spot c cruises from c over the `taken` spots to the first empty one, on
+    the line or, with wrap, around the circle, and takes the block from
+    there. Returns that block; the car parks when it ends by `base` and no
+    spot of it is taken. Every reference below parks its cars with it."""
+    j, steps = c, 0
+    while j in taken:
+        j = j % base + 1 if wrap else j + 1
+        steps += 1
+        if steps > base:  # unreachable while a spot is empty
+            raise RuntimeError("scan failed to find an empty spot")
+    return block_spots(j, y, base, wrap)
+
+
 def naive_simulate(sizes: SizeVector, prefs: PrefSequence, flavor: str):
-    """The parking rule spot by spot on a bytearray, the literal reference
+    """One sequence parked car by car with naive_park: the literal reference
     the run-list kernel and the oracle's block tables are checked against.
     Preferences are taken as valid."""
+    wrap = flavor == "circular"
+    base = sizes.circle_size if wrap else sizes.total
+    taken: set[int] = set()
     starts: list[int] = []
-    if flavor == "linear":
-        t = sizes.total
-        occupied = bytearray(t + 1)  # index 1..t
-        for i, (c, y) in enumerate(zip(prefs.prefs, sizes.sizes), start=1):
-            j = c
-            while j <= t and occupied[j]:
-                j += 1
-            if j > t or j + y - 1 > t:
-                return PastEnd(car=i)
-            for s in range(j + 1, j + y):
-                if occupied[s]:
-                    return Collision(car=i, first_empty=j, blocked=s)
-            for s in range(j, j + y):
-                occupied[s] = 1
-            starts.append(j)
-        return Parked(Layout(sizes, tuple(starts), "linear"))
-    m = sizes.circle_size
-    occupied = bytearray(m + 1)  # index 1..m
     for i, (c, y) in enumerate(zip(prefs.prefs, sizes.sizes), start=1):
-        j = c
-        steps = 0
-        while occupied[j]:
-            j = j % m + 1
-            steps += 1
-            if steps > m:  # unreachable if the occupancy invariant holds
-                raise RuntimeError("scan failed to find an empty spot")
-        block = [(j - 1 + k) % m + 1 for k in range(y)]
-        for s in block[1:]:
-            if occupied[s]:
-                return Collision(car=i, first_empty=j, blocked=s)
+        block = naive_park(taken, c, y, base, wrap)
+        if block[-1] > base:
+            return PastEnd(car=i)
         for s in block:
-            occupied[s] = 1
-        starts.append(j)
-    return Parked(Layout(sizes, tuple(starts), "circular"))
+            if s in taken:
+                return Collision(car=i, first_empty=block[0], blocked=s)
+        taken.update(block)
+        starts.append(block[0])
+    return Parked(Layout(sizes, tuple(starts), flavor))
 
 
 def naive_tally(sizes: SizeVector, flavor: str) -> tuple[int, int, int]:
     """Literal one-simulation-per-tuple classification of the whole domain.
 
     Deliberately naive: this is the independent reference the aggregated
-    oracle and the closed-form counts are both checked against.
+    oracle and the closed-form counts are both checked against, and the
+    witness that the prefix-built references below miss no tuple.
     """
     base = sizes.total if flavor == "linear" else sizes.circle_size
-    parked = collisions = past_end = 0
-    for tup in itertools.product(range(1, base + 1), repeat=sizes.n):
-        result = naive_simulate(sizes, PrefSequence(tup, flavor), flavor)
-        if isinstance(result, Parked):
-            parked += 1
-        elif isinstance(result, Collision):
-            collisions += 1
-        else:
-            assert isinstance(result, PastEnd)
-            past_end += 1
-    return parked, collisions, past_end
+    kinds = Counter(
+        type(naive_simulate(sizes, PrefSequence(tup, flavor), flavor))
+        for tup in itertools.product(range(1, base + 1), repeat=sizes.n)
+    )
+    assert set(kinds) <= {Parked, Collision, PastEnd}
+    return kinds[Parked], kinds[Collision], kinds[PastEnd]
 
 
 def naive_prefix_tally(
@@ -83,7 +80,7 @@ def naive_prefix_tally(
     """Classify the tuples whose first coordinate lies in [first_lo, first_hi],
     merging prefixes that leave the same spots taken.
 
-    Every preference is tried and cruised spot by spot on a set of taken
+    Every preference is tried and parked with naive_park on a set of taken
     spots: the literal reference for the oracle's free-spot step on domains
     too large for naive_tally.
     """
@@ -97,10 +94,7 @@ def naive_prefix_tally(
         nxt: Counter[frozenset[int]] = Counter()
         for taken, count in states.items():
             for c in prefs:
-                j = c
-                while j in taken:
-                    j = j % base + 1 if wrap else j + 1
-                block = [(j - 1 + k) % base + 1 if wrap else j + k for k in range(y)]
+                block = naive_park(taken, c, y, base, wrap)
                 if block[-1] > base:
                     past_end += count * weight
                 elif taken.intersection(block):
@@ -113,14 +107,22 @@ def naive_prefix_tally(
 
 @functools.cache
 def naive_parking_set(sizes: SizeVector, flavor: str) -> frozenset[tuple[int, ...]]:
-    """The parking sequences, one simulation per tuple. SizeVector hashes
-    by its sizes, so each (sizes, flavor) set is built once per session."""
-    base = sizes.total if flavor == "linear" else sizes.circle_size
-    return frozenset(
-        tup
-        for tup in itertools.product(range(1, base + 1), repeat=sizes.n)
-        if isinstance(naive_simulate(sizes, PrefSequence(tup, flavor), flavor), Parked)
-    )
+    """The parking sequences, built car by car: every prefix that parks is
+    extended by each preference of the next car, parked with naive_park,
+    and kept when that car parks too. SizeVector hashes by its sizes, so
+    each (sizes, flavor) set is built once per session."""
+    wrap = flavor == "circular"
+    base = sizes.circle_size if wrap else sizes.total
+    parked: dict[tuple[int, ...], frozenset[int]] = {(): frozenset()}
+    for y in sizes.sizes:
+        parked = {
+            prefix + (c,): taken.union(block)
+            for prefix, taken in parked.items()
+            for c in range(1, base + 1)
+            if (block := naive_park(taken, c, y, base, wrap))[-1] <= base
+            and taken.isdisjoint(block)
+        }
+    return frozenset(parked)
 
 
 def option_codes(sizes: SizeVector) -> Iterator[tuple[int, ...]]:
@@ -134,12 +136,9 @@ def naive_free_spots(layout: Layout) -> set[int]:
     """The spots of a circular layout that no car covers, listed spot by
     spot: the literal reference for empty_spot."""
     m = layout.sizes.circle_size
-    covered = {
-        (s - 1 + k) % m + 1
-        for s, y in zip(layout.starts, layout.sizes.sizes)
-        for k in range(y)
-    }
-    return set(range(1, m + 1)) - covered
+    return set(range(1, m + 1)).difference(
+        *(block_spots(s, y, m, True) for s, y in zip(layout.starts, layout.sizes.sizes))
+    )
 
 
 def refuse_package_bindings(monkeypatch, functions, message: str) -> None:

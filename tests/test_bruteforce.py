@@ -13,6 +13,7 @@ import parkseq
 import parkseq.bruteforce
 from parkseq import (
     BudgetExceededError,
+    Parked,
     PrefSequence,
     SizeVector,
     compositions,
@@ -38,6 +39,7 @@ from parkseq.circular import _turn
 from parkseq.counting import _option_counts
 from parkseq.divider import _walk
 from conftest import (
+    block_spots,
     naive_free_spots,
     naive_parking_set,
     naive_prefix_tally,
@@ -96,6 +98,22 @@ def test_tallies_match_literal_enumeration(comp, flavor):
             report.total_tuples
 
 
+@pytest.mark.parametrize("flavor", ["linear", "circular"])
+@pytest.mark.parametrize("comp", list(compositions(3, 6)), ids=str)
+def test_reference_parking_set_is_the_per_tuple_filter(comp, flavor):
+    # the prefix-built reference set against one simulation per tuple: no
+    # extension of a failed prefix parks, and no parked tuple is missed
+    sizes = SizeVector(comp)
+    base = sizes.total if flavor == "linear" else sizes.circle_size
+    parking = naive_parking_set(sizes, flavor)
+    assert parking == {
+        tup
+        for tup in itertools.product(range(1, base + 1), repeat=sizes.n)
+        if isinstance(naive_simulate(sizes, PrefSequence(tup, flavor), flavor), Parked)
+    }
+    assert len(parking) == naive_tally(sizes, flavor)[0]
+
+
 @st.composite
 def sizes_flavor_and_first_range(draw):
     comp = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
@@ -125,12 +143,10 @@ def test_blocks_cover_the_spots_a_parked_car_takes(wrap):
             for j in range(1, base + 1):
                 spots = {s for s in range(1, base + 1) if blocks[j] >> (s - 1) & 1}
                 assert blocks[j] >> base == 0
-                if wrap:
-                    assert spots == {(j - 1 + k) % base + 1 for k in range(size)}
-                elif j - 1 + size > base:
+                if not wrap and j - 1 + size > base:
                     assert blocks[j] == 0
                 else:
-                    assert spots == set(range(j, j + size))
+                    assert spots == set(block_spots(j, size, base, wrap))
 
 
 # the edge of the benchmark's oracle sweep (n = 6, T = 12), past the reach
@@ -518,11 +534,14 @@ def test_parking_states_yield_the_simulated_starts(comp, flavor):
     # mask the restriction's: every sequence of the run parks at the starts,
     # and the mask covers exactly the spots the parked cars cover
     sizes = SizeVector(comp)
-    base = sizes.total if flavor == "linear" else sizes.circle_size
-    simulate = simulate_circular if flavor == "circular" else simulate_linear
+    wrap = flavor == "circular"
+    base = sizes.circle_size if wrap else sizes.total
+    simulate = simulate_circular if wrap else simulate_linear
     for head, lo, hi, starts, mask in _parking_states(sizes, flavor):
         assert 1 <= lo <= hi <= base
-        covered = {(s - 1 + k) % base + 1 for s, y in zip(starts, comp) for k in range(y)}
+        covered = {
+            s for j, y in zip(starts, comp) for s in block_spots(j, y, base, wrap)
+        }
         assert covered == {s for s in range(1, base + 1) if mask >> (s - 1) & 1}
         for c in range(lo, hi + 1):
             seq = PrefSequence(head + (c,), flavor)

@@ -22,7 +22,7 @@ from parkseq import (
 )
 from parkseq.bruteforce import _parking_states
 from parkseq.circular import _turn
-from conftest import naive_free_spots, naive_parking_set
+from conftest import block_spots, naive_free_spots, naive_parking_set
 
 
 def circ(prefs):
@@ -170,9 +170,8 @@ class TestEmptySpot:
                 empty_spot(layout)
             spot = int(re.search(r"(\d+)$", str(exc.value)).group(1))
             covers = Counter(
-                (s - 1 + k) % m + 1
-                for s, y in zip(layout.starts, sizes.sizes)
-                for k in range(y)
+                s for j, y in zip(layout.starts, sizes.sizes)
+                for s in block_spots(j, y, m, True)
             )
             assert covers[spot] >= 2
 
