@@ -228,9 +228,23 @@ def _draw(
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
     """Draw one code per car, each uniformly over its option count, and
     return car 1's code, its anchor spot minus one, with `_walk`'s
-    (preferences, starts, empty spot) of the others."""
+    (preferences, starts, empty spot) of the others.
+
+    A code below count k is rng.getrandbits(k.bit_length()), drawn again
+    while it is k or more: the integer rng.randrange(k) returns on 3.10 to
+    3.13 for `Random` and `SystemRandom`, so a seeded stream is what
+    randrange would draw. A `Random` subclass that overrides only random()
+    draws from getrandbits here, where randrange would draw from random().
+    """
     prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    codes = [rng.randrange(k) for k in _option_counts(sizes, prefix)]
+    getrandbits = rng.getrandbits
+    codes = []
+    for k in _option_counts(sizes, prefix):
+        width = k.bit_length()
+        r = getrandbits(width)
+        while r >= k:
+            r = getrandbits(width)
+        codes.append(r)
     [walked] = _walk(prefix, codes[1:-1], codes[-1:])
     return codes[0], *walked
 
@@ -256,6 +270,11 @@ def sample_linear(sizes: SizeVector, rng: Random) -> PrefSequence:
     off the walk's open cell; car 1's code is still drawn, so a seeded
     generator yields the same draws. No Layout is built, and nothing is
     parked again or searched.
+
+    Each code is drawn as `rng.randrange` draws it on 3.10 to 3.13, from
+    rng.getrandbits of the option count's bit length, drawn again while
+    it is not below the count; so a `Random` subclass that overrides only
+    random() is drawn from through getrandbits.
     """
     _, prefs, _, e = _draw(sizes, rng)
     m = sizes.circle_size

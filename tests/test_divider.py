@@ -3,7 +3,7 @@ import itertools
 import json
 import os
 from collections import Counter
-from random import Random
+from random import Random, SystemRandom
 
 import pytest
 from hypothesis import given, settings
@@ -338,19 +338,23 @@ class TestSamplers:
 
 
 class ScriptedRandom(Random):
-    """A generator that answers a fixed code tuple, one code per car:
-    randrange(k) checks that k is the next car's option count and returns
-    that car's code."""
+    """A generator that answers a fixed code tuple, one code per car. Per
+    car, getrandbits(width) checks that width is the bit length of the
+    next car's option count k and answers k itself, which the draw must
+    reject, then checks the same width again and answers that car's code."""
 
     def __init__(self, sizes, codes):
         super().__init__(0)
-        self.script = list(zip(_option_counts(sizes), codes))
+        self.script = [
+            (k.bit_length(), r)
+            for k, code in zip(_option_counts(sizes), codes)
+            for r in (k, code)
+        ]
 
-    def randrange(self, k, *rest):
-        assert not rest
-        count, code = self.script.pop(0)
-        assert k == count
-        return code
+    def getrandbits(self, width):
+        expected, r = self.script.pop(0)
+        assert width == expected
+        return r
 
 
 @pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
@@ -363,7 +367,7 @@ def test_every_code_tuple_draws_each_parking_sequence_equally_often(comp):
         for sample, counts in drawn.items():
             rng = ScriptedRandom(sizes, codes)
             counts[sample(sizes, rng).prefs] += 1
-            assert not rng.script  # one draw per car
+            assert not rng.script  # one accepted draw per car
     circular, linear = (naive_parking_set(sizes, f) for f in ("circular", "linear"))
     assert drawn[sample_circular] == dict.fromkeys(circular, 1)
     assert drawn[sample_linear] == dict.fromkeys(linear, sizes.circle_size)
@@ -416,6 +420,54 @@ def test_samplers_and_decode_run_the_walk_bijection_checks_runs(monkeypatch, com
         decode(sizes, opts)
         assert calls == [[codes[-1]]] * 3
         calls.clear()
+
+
+def randrange_draw(sizes, rng):
+    """One draw as randrange makes it, the reference for `_draw`: a code
+    per car by rng.randrange over its option count, walked and turned as
+    the samplers do. Returns the (linear, circular) preferences that the
+    one draw gives."""
+    m = sizes.circle_size
+    prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
+    codes = [rng.randrange(k) for k in _option_counts(sizes)]
+    [(prefs, _, e)] = _walk(prefix, codes[1:-1], codes[-1:])
+    return _turn(prefs, m - e, m), _turn(prefs, codes[0], m)
+
+
+class TestDrawIsRandrange:
+    """The samplers draw each code through getrandbits; every seeded draw
+    and the generator state it leaves must be randrange's."""
+
+    @staticmethod
+    def check(comp, seed, draws=3):
+        sizes = SizeVector(comp)
+        for flavor, sample in enumerate((sample_linear, sample_circular)):
+            reference, rng = Random(seed), Random(seed)
+            for _ in range(draws):
+                expected = randrange_draw(sizes, reference)[flavor]
+                assert sample(sizes, rng).prefs == expected
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("comp", list(compositions(4, 8)), ids=str)
+    def test_small_vectors(self, comp):
+        for seed in range(4):
+            self.check(comp, seed)
+
+    @pytest.mark.parametrize(
+        "comp",
+        [(2**31,), (2**32 - 1, 1), (2**40, 3, 2**35), (2**64, 1)],
+        ids=["2^31", "2^32-1,1", "2^40,3,2^35", "2^64,1"],
+    )
+    def test_counts_past_one_32_bit_word(self, comp):
+        for seed in (0, 1, 2017):
+            self.check(comp, seed, draws=20)
+
+    def test_system_random_draws_park(self):
+        sizes = SizeVector((2, 1, 3))
+        rng = SystemRandom()
+        for _ in range(50):
+            assert is_parking_sequence(sizes, sample_linear(sizes, rng))
+            assert isinstance(simulate_circular(sizes, sample_circular(sizes, rng)), Parked)
 
 
 def random_composition(rng, total, parts):
