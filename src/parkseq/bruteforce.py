@@ -18,7 +18,10 @@ preferences that cruise to one free spot all park there, so the walk
 hands them over as one run (head, lo, hi, starts, mask), in lexicographic
 order: the bijection checks write each run whole into its block of car
 1's preference, and `enumerate_parking_sequences` expands the runs as
-they come.
+they come. The last car's runs depend only on the occupancy mask the
+other cars leave, so they are found once per mask and kept only where
+the last car parks: the walk holds its stack plus the runs of at most
+T - y_n + 1 masks on the line and M(T - y_n + 1) on the circle.
 """
 
 from __future__ import annotations
@@ -222,7 +225,7 @@ def _parking_states(
     (car i at starts[i-1]) and leave the occupancy mask `mask`. Runs come
     in lexicographic order of their sequences.
 
-    A depth-first walk over the prefixes of cars 1..n-1 that parked, kept
+    A depth-first walk over the prefixes of cars 1..n-2 that parked, kept
     on an explicit stack; a failed prefix is never extended. At each prefix
     the preferences are split by the free spot they cruise to, which is
     where the car parks: those in (previous free spot, j] reach free spot
@@ -231,48 +234,75 @@ def _parking_states(
     lookup per free spot in the block table `_tally` reads (`_blocks`),
     and the children that park at one spot share one starts tuple and one
     mask. Children are pushed from high to low, so the lowest is popped
-    first. The last car is not pushed: each free spot its block fits at
-    is yielded as one run, from low to high, and on the circle the
-    wrapped run, the highest preferences, comes last.
+    first. Car n-1 is not pushed: its groups are walked from low to high
+    at its parent prefix, and each group's preferences share car n's runs
+    from the mask the group leaves, one run per free spot that car n's
+    block fits at, from low to high (on the circle the wrapped run, the
+    highest preferences, comes last). Car n's runs depend on that mask
+    alone, so they are found once per mask and kept only when car n parks
+    from it, which one fit mask of its starts tells, as in `_tally`. So
+    memory is the stack plus the kept runs, of at most T - y_n + 1 masks
+    on the line (car n's y_n free spots must be one block) and
+    M(T - y_n + 1) on the circle (one more free spot, anywhere).
     """
     base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
+
+    def groups(mask: int, blocks: list[int]) -> list[tuple[int, int, int, int]]:
+        """(lo, hi, j, mask after) from low to high: the preferences lo..hi
+        that cruise to free spot j and park there, with the car's blocks."""
+        free = rest = full & ~mask
+        found = []
+        lo = 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length()
+            block = blocks[j]
+            if block and not mask & block:
+                found.append((lo, j, j, mask | block))
+            lo = j + 1
+        if wrap and lo <= base:  # the run past the last free spot wraps
+            j = (free & -free).bit_length()
+            if not mask & blocks[j]:
+                found.append((lo, base, j, mask | blocks[j]))
+        return found
+
     *tables, last = [_blocks(size, base, wrap) for size in sizes.sizes]
+    if not tables:  # one car: its runs from the empty lot
+        for lo, hi, j, after in groups(0, last):
+            yield (), lo, hi, (j,), after
+        return
+    *tables, penultimate = tables
+    # car n's starts whose whole block is free, found as `_tally` finds them
+    size = sizes.sizes[-1]
+    shifts = [min(1 << k, size - (1 << k)) for k in range((size - 1).bit_length())]
+    laps = 1 | 1 << base | 1 << 2 * base if wrap else 1
+    room = full << base if wrap else full >> size - 1
+    kept: dict[int, list[tuple[int, int, int, int]]] = {}  # car n's runs by mask
     stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
     while stack:
         prefix, starts, mask = stack.pop()
-        free = full & ~mask
-        if len(prefix) == len(tables):  # the last car: one run per free spot
-            lo, rest = 1, free
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length()
-                block = last[j]
-                if block and not mask & block:
-                    yield prefix, lo, j, starts + (j,), mask | block
-                lo = j + 1
-            if wrap and lo <= base:  # the run past the last free spot wraps
-                j = (free & -free).bit_length()
-                if not mask & last[j]:
-                    yield prefix, lo, base, starts + (j,), mask | last[j]
+        if len(prefix) < len(tables):
+            for lo, hi, j, child in reversed(groups(mask, tables[len(prefix)])):
+                parked = starts + (j,)
+                for c in range(hi, lo - 1, -1):
+                    stack.append((prefix + (c,), parked, child))
             continue
-        blocks = tables[len(prefix)]
-        if wrap:  # the trailing run wraps to the first free spot
-            first = (free & -free).bit_length()
-            block = blocks[first]
-            if not mask & block:
-                parked, child = starts + (first,), mask | block
-                for c in range(base, free.bit_length(), -1):
-                    stack.append((prefix + (c,), parked, child))
-        while free:
-            j = free.bit_length()
-            free ^= 1 << (j - 1)
-            block = blocks[j]
-            if block and not mask & block:
-                parked, child = starts + (j,), mask | block
-                for c in range(j, free.bit_length(), -1):
-                    stack.append((prefix + (c,), parked, child))
+        for lo, hi, j, child in groups(mask, penultimate):
+            runs = kept.get(child)
+            if runs is None:
+                fits = (full & ~child) * laps
+                for shift in shifts:
+                    fits &= fits >> shift
+                if not fits & room:  # car n parks from no start: not kept
+                    continue
+                runs = kept[child] = groups(child, last)
+            parked = starts + (j,)
+            for c in range(lo, hi + 1):
+                head = prefix + (c,)
+                for a, b, k, after in runs:
+                    yield head, a, b, parked + (k,), after
 
 
 def enumerate_parking_sequences(
@@ -283,7 +313,9 @@ def enumerate_parking_sequences(
 
     The budget is checked against the whole tuple domain, but only the
     prefixes that parked are walked (see `_parking_states`); each run of
-    the walk is expanded as it comes, so memory stays the walk's stack.
+    the walk is expanded as it comes, so memory stays the walk's: its
+    stack plus the last car's kept runs, of at most T - y_n + 1 masks on
+    the line and M(T - y_n + 1) on the circle.
     """
     _check_budget(sizes, flavor, budget)
     for head, lo, hi, _, _ in _parking_states(sizes, flavor):
@@ -350,14 +382,16 @@ def bijection_checks(
     column by column, grouped by car 1's preference p (one group, p = 1,
     unless a walk is wrong), and one `_turn` by c - p of each group decodes
     into block c, where each decoded start is looked up; the blocks are
-    disjoint, so the image is compared and counted block by block, from
-    the lookups the validity check makes: the image is the block when each
-    decode is found in it and they have as many sequences. A turn
-    by 1 maps block c onto block c + 1, so the set is closed under every
-    rotation exactly when each block c is block 1 turned by c - 1. Turns
-    compose, so the image in block c is the image in block 1 turned by
-    c - 1: when the image in block 1 is block 1, closure at block c is the
-    image check there, and block 1 is turned only when it is not.
+    disjoint, so the image is compared block by block, from the lookups
+    the validity check makes: the image is the block when each decode is
+    found in it and they have as many sequences. A turn by 1 maps block c
+    onto block c + 1, so the set is closed under every rotation exactly
+    when each block c is block 1 turned by c - 1. Turns compose, so the
+    image in block c is the image in block 1 turned by c - 1, and a turn
+    is one to one: the image set is filled from block 1 alone, and its
+    size is counted once per block. When the image in block 1 is block 1,
+    closure at block c is the image check there, and block 1 is turned
+    only when it is not.
     """
     m, _ = _check_budget(sizes, "circular", budget)
     n = sizes.n
@@ -386,6 +420,7 @@ def bijection_checks(
     run = next(runs, None)
     circular = distinct = 0
     decode_valid = image_equals_circular_set = rotation_invariant = True
+    image: set[tuple[int, ...]] = set()  # block 1's; block c's is it turned by c - 1
     for c in range(1, m + 1):
         block: dict[tuple[int, ...], tuple[int, ...]] = {}
         # car 1's preference: the head's first, or with one car the run's own
@@ -397,12 +432,12 @@ def bijection_checks(
                 restricted.update(map(head.__add__, tails[lo:hi + 1]))
             run = next(runs, None)
         circular += len(block)
-        image: set[tuple[int, ...]] = set()
         found = True  # every decode is in the block, so the image is in it
         for p, columns in groups:
             spots = cut(_turn(columns, (c - p) % m, m), 2 * n)
             prefs = list(zip(*spots[:n]))
-            image.update(prefs)
+            if c == 1:
+                image.update(prefs)
             witnessed = list(map(block.get, prefs))
             valid = witnessed == list(zip(*spots[n:]))
             decode_valid &= valid

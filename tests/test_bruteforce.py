@@ -549,7 +549,7 @@ def test_parking_states_yield_the_simulated_starts(comp, flavor):
 
 
 @pytest.mark.parametrize("flavor", ["linear", "circular"])
-@pytest.mark.parametrize("comp", list(compositions(4, 7)), ids=str)
+@pytest.mark.parametrize("comp", list(compositions(4, 7)) + [(2, 3, 1, 12)], ids=str)
 def test_expanded_runs_are_the_literal_parking_set(comp, flavor):
     # the runs, expanded, list every parking sequence once, in
     # lexicographic order, with the starts the spot-by-spot reference parks
@@ -582,6 +582,23 @@ def test_enumeration_holds_no_block_of_sequences():
         tracemalloc.stop()
     assert last.prefs == (2,) + (1,) * 6
     assert peak < rows * sys.getsizeof(tuple(range(7))) / 100
+
+
+@pytest.mark.parametrize("flavor", ["linear", "circular"])
+@pytest.mark.parametrize("comp", [(2, 3, 1, 12), (1, 1, 1, 1, 10)], ids=str)
+def test_walk_keeps_only_the_masks_the_last_car_parks_from(comp, flavor):
+    # the long last car parks from few of the masks the other cars leave:
+    # the whole walk peaked at 38 and 24 KiB on the circle, and keeping
+    # every mask's runs at 472 and 168 KiB (tracemalloc, Python 3.11)
+    sizes = SizeVector(comp)
+    tracemalloc.start()
+    try:
+        for _ in _parking_states(sizes, flavor):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**10
 
 
 # Each fault of the table below takes the size vector, the decoded walks and
