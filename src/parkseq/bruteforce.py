@@ -17,11 +17,13 @@ once per free spot and never extends a failed prefix. The last car's
 preferences that cruise to one free spot all park there, so the walk
 hands them over as one run (head, lo, hi, starts, mask), in lexicographic
 order: the bijection checks write each run whole into its block of car
-1's preference, and `enumerate_parking_sequences` expands the runs as
-they come. The last car's runs depend only on the occupancy mask the
-other cars leave, so they are found once per mask and kept only where
-the last car parks: the walk holds its stack plus the runs of at most
-T - y_n + 1 masks on the line and M(T - y_n + 1) on the circle.
+1's preference and match each run that leaves spot M empty with the
+linear walk's next run, and `enumerate_parking_sequences` expands the
+runs as they come. The last car's runs depend only on the occupancy
+mask the other cars leave, so they are found once per mask and kept
+only where the last car parks: the walk holds its stack plus the runs
+of at most T - y_n + 1 masks on the line and M(T - y_n + 1) on the
+circle.
 """
 
 from __future__ import annotations
@@ -369,13 +371,20 @@ def bijection_checks(
     """Decode every option sequence and compare against brute force.
 
     Checks decode validity, injectivity, image = circular parking set =
-    formula count, the spot-M-empty restriction against the linear
-    parking set, and closure of the circular set under all M rotations,
-    block by block of car 1's preference c = 1..M: the circular walk
-    (`_parking_states`) hands over each block as runs, which are written
-    whole into a dict of its `count_linear` sequences mapped to their
-    starts, and into the spot-M-empty set when their mask leaves spot M
-    free. `_walk` places cars 2..n with car 1 at spot 1, once per codes
+    formula count, the restriction against the linear walk, and closure
+    of the circular set under all M rotations, block by block of car 1's
+    preference c = 1..M: the circular walk (`_parking_states`) hands over
+    each block as runs, which are written whole into a dict of its
+    `count_linear` sequences mapped to their starts. The restriction is
+    checked run for run, with no set: each circular run whose mask leaves
+    spot M empty must equal the linear walk's next run, tuple for tuple,
+    and no linear run may be left over; the linear sequences are counted
+    off the linear runs as they are read. That is exact: both walks yield
+    in lexicographic order; every linear run leaves spots 1..T full, the
+    spot-M-empty mask; a circular prefix that leaves spot M free parks
+    and splits car n's preferences at the same free spots as on the line;
+    and a run the circular walk splits otherwise can only fail the check.
+    `_walk` places cars 2..n with car 1 at spot 1, once per codes
     of cars 2..n-1 with car n's whole range, which it reads off at most
     two layouts; car 1's code only turns the walk, as in `decode` and the
     samplers, which walk car n's one code. So the walks are laid out
@@ -388,10 +397,16 @@ def bijection_checks(
     onto block c + 1, so the set is closed under every rotation exactly
     when each block c is block 1 turned by c - 1. Turns compose, so the
     image in block c is the image in block 1 turned by c - 1, and a turn
-    is one to one: the image set is filled from block 1 alone, and its
-    size is counted once per block. When the image in block 1 is block 1,
-    closure at block c is the image check there, and block 1 is turned
-    only when it is not.
+    is one to one: the image set is filled from block 1 alone, and the
+    distinct decodes are M times its size. When the image in block 1 is
+    block 1, closure at block c is the image check there, and block 1 is
+    turned only when it is not.
+
+    Each group's walk rows are let go as its columns are made. What is
+    held at once is the walk columns, one block dict, block 1's image and
+    one block's turned columns, each of `count_linear` rows: the
+    tracemalloc peak is 819-831 B per linear sequence on (3, 2, 1, 1, 1)
+    and (2, 2, 2, 2, 2) (Python 3.10-3.13).
     """
     m, _ = _check_budget(sizes, "circular", budget)
     n = sizes.n
@@ -410,15 +425,18 @@ def bijection_checks(
         for prefs, starts, _ in _walk(prefix, head, lasts):
             walks.setdefault(prefs[0], []).append(prefs + starts)
     total = m * sum(map(len, walks.values()))
-    # by car 1's preference: n preference columns, then n start columns
-    groups = [(p, tuple(itertools.chain(*zip(*w)))) for p, w in walks.items()]
+    # by car 1's preference: n preference columns, then n start columns; each
+    # group's rows are let go as its columns are made
+    groups = [(p, tuple(itertools.chain(*zip(*walks.pop(p))))) for p in list(walks)]
 
     tails = [(c,) for c in range(m + 1)]  # a run's sequences are head + tails[c]
     spot_m_empty = (1 << (m - 1)) - 1  # the final occupancy of spots 1..T
-    restricted = set()
+    linear_runs = _parking_states(sizes, "linear")
+    linear = 0  # the linear sequences, counted from the linear runs as read
+    restriction = True
     runs = _parking_states(sizes, "circular")
     run = next(runs, None)
-    circular = distinct = 0
+    circular = 0
     decode_valid = image_equals_circular_set = rotation_invariant = True
     image: set[tuple[int, ...]] = set()  # block 1's; block c's is it turned by c - 1
     for c in range(1, m + 1):
@@ -428,8 +446,10 @@ def bijection_checks(
             head, lo, hi, starts, mask = run
             for last in tails[lo:hi + 1]:
                 block[head + last] = starts
-            if mask == spot_m_empty:
-                restricted.update(map(head.__add__, tails[lo:hi + 1]))
+            if mask == spot_m_empty:  # the linear walk's next run, tuple for tuple
+                line = next(linear_runs, None)
+                restriction &= run == line
+                linear += line[2] - line[1] + 1 if line else 0
             run = next(runs, None)
         circular += len(block)
         found = True  # every decode is in the block, so the image is in it
@@ -442,7 +462,6 @@ def bijection_checks(
             valid = witnessed == list(zip(*spots[n:]))
             decode_valid &= valid
             found &= valid or None not in witnessed
-        distinct += len(image)
         closed = found and len(image) == len(block)
         image_equals_circular_set &= closed
         if c == 1:  # image c is image 1 turned by c - 1: once it is block 1, no turn
@@ -453,23 +472,22 @@ def bijection_checks(
             turned = zip(*cut(_turn(first, c - 1, m), n))
             rotation_invariant &= len(block) * n == len(first) and all(
                 map(block.__contains__, turned))
-    linear_set = {
-        head + last
-        for head, lo, hi, _, _ in _parking_states(sizes, "linear")
-        for last in tails[lo:hi + 1]
-    }
+    for _, lo, hi, _, _ in linear_runs:  # linear runs no circular run matched
+        linear += hi - lo + 1
+        restriction = False
+    distinct = m * len(image)
 
     return BijectionReport(
         sizes=sizes,
         option_sequences=total,
         distinct_decodes=distinct,
         circular_parking_sequences=circular,
-        linear_parking_sequences=len(linear_set),
+        linear_parking_sequences=linear,
         decode_valid=decode_valid,
         decode_injective=distinct == total,
         image_equals_circular_set=image_equals_circular_set,
         image_count_matches_formula=distinct == count_circular(sizes),
-        restriction_matches_linear_set=restricted == linear_set,
+        restriction_matches_linear_set=restriction,
         rotation_invariant=rotation_invariant,
     )
 

@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from random import Random
 from typing import Sequence
@@ -53,11 +54,23 @@ EXIT_BUDGET = 3
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
-    return values
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            # int() reads every integer text but one with more digits than
+            # the interpreter's int-to-str limit; that one is named by its
+            # digit count, not echoed
+            integer = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", part)
+            if integer is None:
+                raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
+            digits = len(integer[1].replace("_", ""))
+            raise ValueError(
+                f"{what} holds an integer of {digits} digits, past this "
+                f"interpreter's limit of {sys.get_int_max_str_digits()} digits"
+            )
+    return tuple(values)
 
 
 def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:

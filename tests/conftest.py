@@ -12,6 +12,7 @@ from parkseq import (
     PastEnd,
     PrefSequence,
     SizeVector,
+    wrap_spot,
 )
 from parkseq.counting import _option_counts
 
@@ -139,6 +140,42 @@ def naive_free_spots(layout: Layout) -> set[int]:
     return set(range(1, m + 1)).difference(
         *(block_spots(s, y, m, True) for s, y in zip(layout.starts, layout.sizes.sizes))
     )
+
+
+def encode(prefix, prefs, starts):
+    """The divider's inverse, read off a parking: the codes (r_2, ..., r_n)
+    of cars 2..n whose walk, turned by any anchor, is (prefs, starts). The
+    parking is first turned to put car 1 at spot 1, so no block wraps. Car
+    i's cell is then the rank of its start among the starts and the empty
+    spot. A car that prefers its own start picked its cell directly, and
+    its code is that cell's index among the cells still open; otherwise it
+    prefers spot k (0-based) of car j's block, so its code is n + 2 - i +
+    prefix[j] + k, with j 0-based, and its cell must be the next open cell
+    clockwise after car j's."""
+    n = len(prefix) - 1
+    m = prefix[n] + 1
+    sizes = [prefix[j + 1] - prefix[j] for j in range(n)]
+    shift = starts[0] - 1
+    prefs = [wrap_spot(x - shift, m) for x in prefs]
+    starts = [wrap_spot(s - shift, m) for s in starts]
+    (empty,) = set(range(1, m + 1)) - {
+        s + k for s, y in zip(starts, sizes) for k in range(y)
+    }
+    cells = sorted([*starts, empty])
+    open_cells = list(range(1, n + 1))
+    codes = []
+    for i in range(2, n + 1):
+        x, s = prefs[i - 1], starts[i - 1]
+        cell = cells.index(s)
+        if x == s:
+            codes.append(open_cells.index(cell))
+        else:
+            j = next(j for j in range(n) if starts[j] <= x < starts[j] + sizes[j])
+            codes.append(n + 2 - i + prefix[j] + x - starts[j])
+            target = cells.index(starts[j])
+            assert cell == next((q for q in open_cells if q > target), open_cells[0])
+        open_cells.remove(cell)
+    return tuple(codes)
 
 
 def refuse_package_bindings(monkeypatch, functions, message: str) -> None:

@@ -842,3 +842,19 @@ def test_bijection_checks_hold_one_block_at_a_time(comp, whole_set_mib):
         tracemalloc.stop()
     assert report.all_pass
     assert peak <= whole_set_mib / 10 * 2**20
+
+
+def test_bijection_checks_hold_under_960_bytes_per_linear_sequence():
+    # five cars, where the walks are many: holding the spot-M-empty and
+    # linear sets as well peaked at 1,072-1,111 B per linear sequence, the
+    # run-for-run restriction check at 819-831 B (tracemalloc, Python
+    # 3.10-3.13)
+    sizes = SizeVector((3, 2, 1, 1, 1))
+    tracemalloc.start()
+    try:
+        report = bijection_checks(sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak <= 960 * count_linear(sizes)

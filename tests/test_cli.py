@@ -187,6 +187,30 @@ class TestCount:
             f"needs <{digits} digits> tuples, budget is 100000000\n"
         )
 
+    @pytest.mark.parametrize("text", [
+        " +1_" + "0" * 4999 + " ", "-" + "٣" * 4301,
+        "1" * 5000 + "x", "1__" + "0" * 5000, "_1" + "0" * 5000,
+    ], ids=lambda text: f"{text[:3]!r}-{len(text)}-{text[-1]!r}")
+    def test_only_an_integer_is_refused_as_past_the_digit_limit(self, capsys, text):
+        # a value that int() reads once the limit is lifted is refused as
+        # an integer of its digit count on one short line; any other value
+        # as not an integer, echoed whole
+        with unlimited_str_digits():
+            try:
+                digits = len(str(abs(int(text))))
+            except ValueError:
+                digits = None
+        code, out, err = run_cli(capsys, "simulate", "--sizes", "2,2", "--prefs", "1," + text)
+        assert (code, out) == (2, "")
+        if digits is None:
+            assert err == f"error: --prefs must be comma-separated integers, got {'1,' + text!r}\n"
+        else:
+            assert err == (
+                f"error: --prefs holds an integer of {digits} digits, past this "
+                f"interpreter's limit of {sys.get_int_max_str_digits()} digits\n"
+            )
+            assert len(err.encode()) < 200
+
 
 class TestLargeLots:
     """A lot of 10^12 spots answers at once: the cost grows with the number

@@ -17,6 +17,7 @@ from parkseq import (
     Layout,
     OptionSequence,
     Parked,
+    PrefSequence,
     SizeVector,
     compositions,
     count_circular,
@@ -38,6 +39,7 @@ from parkseq.circular import _turn
 from parkseq.counting import _option_counts
 from parkseq.divider import _walk
 from conftest import (
+    encode,
     naive_free_spots,
     naive_parking_set,
     naive_simulate,
@@ -93,42 +95,6 @@ def anchor_walks(prefix, rest):
         prefs = tuple(wrap_spot(starts[j - 1] + k, m) for j, k in aim)
         walks.append((prefs, tuple(starts)))
     return walks
-
-
-def encode(prefix, prefs, starts):
-    """The divider's inverse, read off a parking: the codes (r_2, ..., r_n)
-    of cars 2..n whose walk, turned by any anchor, is (prefs, starts). The
-    parking is first turned to put car 1 at spot 1, so no block wraps. Car
-    i's cell is then the rank of its start among the starts and the empty
-    spot. A car that prefers its own start picked its cell directly, and
-    its code is that cell's index among the cells still open; otherwise it
-    prefers spot k (0-based) of car j's block, so its code is n + 2 - i +
-    prefix[j] + k, with j 0-based, and its cell must be the next open cell
-    clockwise after car j's."""
-    n = len(prefix) - 1
-    m = prefix[n] + 1
-    sizes = [prefix[j + 1] - prefix[j] for j in range(n)]
-    shift = starts[0] - 1
-    prefs = [wrap_spot(x - shift, m) for x in prefs]
-    starts = [wrap_spot(s - shift, m) for s in starts]
-    (empty,) = set(range(1, m + 1)) - {
-        s + k for s, y in zip(starts, sizes) for k in range(y)
-    }
-    cells = sorted([*starts, empty])
-    open_cells = list(range(1, n + 1))
-    codes = []
-    for i in range(2, n + 1):
-        x, s = prefs[i - 1], starts[i - 1]
-        cell = cells.index(s)
-        if x == s:
-            codes.append(open_cells.index(cell))
-        else:
-            j = next(j for j in range(n) if starts[j] <= x < starts[j] + sizes[j])
-            codes.append(n + 2 - i + prefix[j] + x - starts[j])
-            target = cells.index(starts[j])
-            assert cell == next((q for q in open_cells if q > target), open_cells[0])
-        open_cells.remove(cell)
-    return tuple(codes)
 
 
 class TestDecode:
@@ -276,6 +242,39 @@ class TestOptionEnumeration:
                 assert (layout.starts[0] - 1, *rest) == codes
                 decoded += 1
         assert decoded == 23_798
+
+    @given(
+        # n cars and T/n up to 1000, with n^2 * T/n <= 2^22: the literal
+        # step cruises spot by spot, about n * T steps, and one example at
+        # n = 1024, T/n = 1000 took 28 s (Python 3.11, 2 vCPU)
+        st.integers(1, 1024).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, min(1000, 2**22 // n**2)))),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_walk_is_the_divider_bijection_where_the_samplers_draw(self, shape, seed):
+        # the exhaustive checks above stop at n <= 4, and the samplers draw
+        # at n = 128 and beyond. Seeded codes on a seeded size vector walk
+        # to a parking that encodes back to them, and the literal step parks
+        # the turned preferences at the turned starts, with the walk's empty
+        # spot the one spot free; turning the walk's 2n spots laid end to
+        # end past M spots, through _turn's table, agrees with turning each
+        # n spots on their own
+        n, ratio = shape
+        rng = Random(seed)
+        comp = random_composition(rng, n * ratio, n)
+        sizes = SizeVector(comp)
+        m = sizes.circle_size
+        prefix = tuple(itertools.accumulate(comp, initial=0))
+        a, *codes = (rng.randrange(k) for k in _option_counts(sizes, prefix))
+        [(prefs, starts, e)] = _walk(prefix, codes[:-1], codes[-1:])
+        assert encode(prefix, prefs, starts) == tuple(codes)
+        turned = _turn(prefs, a, m), _turn(starts, a, m)
+        parked = naive_simulate(sizes, PrefSequence(turned[0], "circular"), "circular")
+        assert parked.layout.starts == turned[1]
+        assert naive_free_spots(parked.layout) == {wrap_spot(e + a, m)}
+        laps = m // n + 1
+        assert _turn((prefs + starts) * laps, a, m) == (turned[0] + turned[1]) * laps
 
     @pytest.mark.parametrize(
         "comp, expected", [((2, 2), 20), ((3,), 4), ((2, 2, 1), 180)]
