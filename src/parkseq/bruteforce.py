@@ -13,10 +13,11 @@ Each flavor's lot is read from `core._lot`, which refuses unknown ones.
 
 The parking sequences themselves are listed by a depth-first walk over
 the prefixes that parked, which reads a block table (`_blocks`) per car
-once per free spot and never extends a failed prefix. The last car's
-preferences that cruise to one free spot all park there, so the walk
-hands them over as one run (head, lo, hi, starts, mask), in lexicographic
-order: the bijection checks write each run whole into its block of car
+once per free spot and never extends a failed prefix, nor one that
+leaves the last car no fitting start. The last car's preferences that
+cruise to one free spot all park there, so the walk hands them over as
+one run (head, lo, hi, starts, mask), in lexicographic order: the
+bijection checks write each run whole into its block of car
 1's preference and match each run that leaves spot M empty with the
 linear walk's next run, and `enumerate_parking_sequences` expands the
 runs as they come. The last car's runs depend only on the occupancy
@@ -242,7 +243,10 @@ def _parking_states(
     block fits at, from low to high (on the circle the wrapped run, the
     highest preferences, comes last). Car n's runs depend on that mask
     alone, so they are found once per mask and kept only when car n parks
-    from it, which one fit mask of its starts tells, as in `_tally`. So
+    from it, which one fit mask of its starts tells, as in `_tally`. The
+    same test drops every child of cars 1..n-2 that leaves car n no start:
+    free spots only shrink as cars park, so none of its extensions parks
+    car n (a unit car n always fits, so it is not tested then). So
     memory is the stack plus the kept runs, of at most T - y_n + 1 masks
     on the line (car n's y_n free spots must be one block) and
     M(T - y_n + 1) on the circle (one more free spot, anywhere).
@@ -281,12 +285,22 @@ def _parking_states(
     shifts = [min(1 << k, size - (1 << k)) for k in range((size - 1).bit_length())]
     laps = 1 | 1 << base | 1 << 2 * base if wrap else 1
     room = full << base if wrap else full >> size - 1
+
+    def parks(mask: int) -> bool:
+        """Whether car n's block fits at some start that `mask` leaves free."""
+        fits = (full & ~mask) * laps
+        for shift in shifts:
+            fits &= fits >> shift
+        return fits & room != 0
+
     kept: dict[int, list[tuple[int, int, int, int]]] = {}  # car n's runs by mask
     stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
     while stack:
         prefix, starts, mask = stack.pop()
         if len(prefix) < len(tables):
             for lo, hi, j, child in reversed(groups(mask, tables[len(prefix)])):
+                if size > 1 and not parks(child):  # a unit car n always parks
+                    continue
                 parked = starts + (j,)
                 for c in range(hi, lo - 1, -1):
                     stack.append((prefix + (c,), parked, child))
@@ -294,10 +308,7 @@ def _parking_states(
         for lo, hi, j, child in groups(mask, penultimate):
             runs = kept.get(child)
             if runs is None:
-                fits = (full & ~child) * laps
-                for shift in shifts:
-                    fits &= fits >> shift
-                if not fits & room:  # car n parks from no start: not kept
+                if not parks(child):  # car n parks from no start: not kept
                     continue
                 runs = kept[child] = groups(child, last)
             parked = starts + (j,)
@@ -390,7 +401,8 @@ def bijection_checks(
     samplers, which walk car n's one code. So the walks are laid out
     column by column, grouped by car 1's preference p (one group, p = 1,
     unless a walk is wrong), and one `_turn` by c - p of each group decodes
-    into block c, where each decoded start is looked up; the blocks are
+    into block c, where each decoded start is looked up (below M = 256
+    the columns are bytes, turned in one translate); the blocks are
     disjoint, so the image is compared block by block, from the lookups
     the validity check makes: the image is the block when each decode is
     found in it and they have as many sequences. A turn by 1 maps block c
@@ -405,13 +417,13 @@ def bijection_checks(
     Each group's walk rows are let go as its columns are made. What is
     held at once is the walk columns, one block dict, block 1's image and
     one block's turned columns, each of `count_linear` rows: the
-    tracemalloc peak is 819-831 B per linear sequence on (3, 2, 1, 1, 1)
-    and (2, 2, 2, 2, 2) (Python 3.10-3.13).
+    tracemalloc peak is 551-619 B per linear sequence on (3, 2, 1, 1, 1)
+    and (2, 2, 2, 2, 2) (Python 3.10-3.13; 763-831 B with tuple columns).
     """
     m, _ = _check_budget(sizes, "circular", budget)
     n = sizes.n
 
-    def cut(spots: tuple[int, ...], width: int) -> list[tuple[int, ...]]:
+    def cut(spots: tuple[int, ...] | bytes, width: int) -> list[tuple[int, ...] | bytes]:
         rows = len(spots) // width  # `width` equal columns laid end to end
         return [spots[k * rows:(k + 1) * rows] for k in range(width)]
 
@@ -425,9 +437,12 @@ def bijection_checks(
         for prefs, starts, _ in _walk(prefix, head, lasts):
             walks.setdefault(prefs[0], []).append(prefs + starts)
     total = m * sum(map(len, walks.values()))
+    # every spot lies in [1, M]: below 256 the columns are bytes, which
+    # `_turn` turns in one translate, and read back as the same ints
+    pack = bytes if m < 256 else tuple
     # by car 1's preference: n preference columns, then n start columns; each
     # group's rows are let go as its columns are made
-    groups = [(p, tuple(itertools.chain(*zip(*walks.pop(p))))) for p in list(walks)]
+    groups = [(p, pack(itertools.chain(*zip(*walks.pop(p))))) for p in list(walks)]
 
     tails = [(c,) for c in range(m + 1)]  # a run's sequences are head + tails[c]
     spot_m_empty = (1 << (m - 1)) - 1  # the final occupancy of spots 1..T
@@ -465,7 +480,7 @@ def bijection_checks(
         closed = found and len(image) == len(block)
         image_equals_circular_set &= closed
         if c == 1:  # image c is image 1 turned by c - 1: once it is block 1, no turn
-            first = None if closed else tuple(itertools.chain(*zip(*block)))
+            first = None if closed else pack(itertools.chain(*zip(*block)))
         elif first is None:
             rotation_invariant &= closed
         else:

@@ -29,16 +29,21 @@ def wrap_spot(x: int, modulus: int) -> int:
     return (x - 1) % modulus + 1
 
 
-def _turn(spots: tuple[int, ...], a: int, m: int) -> tuple[int, ...]:
-    """Turn spots of [1, m] clockwise by a, 0 <= a < m: the one place a
-    tuple of spots goes round the circle. Nothing is checked.
+def _turn(spots: tuple[int, ...] | bytes, a: int, m: int) -> tuple[int, ...] | bytes:
+    """Turn spots of [1, m] clockwise by a, 0 <= a < m: the one place spots
+    go round the circle. Nothing is checked.
 
-    A tuple longer than the lot (only `bijection_checks`' columns, which
-    hold every walk) is turned by lookup in a table of the m turned spots,
-    entry x for spot x (entry 0 unused); the table is shorter than the
-    tuple it serves, so the turn stays linear in len(spots) whatever m is.
-    Shorter tuples, such as a decode's n < m spots, are turned one by one.
+    `bytes` (only `bijection_checks`' columns, which hold every walk, when
+    m < 256) come back as `bytes`, turned in one C-level `translate`
+    through a 256-byte table of the m turned spots, entry x for spot x
+    (entry 0 and the entries past m unused). A tuple longer than the lot
+    (those columns when m >= 256) is turned by lookup in the same table
+    of m + 1 entries; it is shorter than the tuple it serves, so the turn
+    stays linear in len(spots) whatever m is. Shorter tuples, such as a
+    decode's n < m spots, are turned one by one.
     """
+    if isinstance(spots, bytes):
+        return spots.translate(bytes([*range(a, m + 1), *range(1, a + 1)]).ljust(256))
     if len(spots) > m:  # two or more spots, so itemgetter returns a tuple
         return itemgetter(*spots)((*range(a, m + 1), *range(1, a + 1)))
     b = m - a

@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bruteforce import (
     DEFAULT_BUDGET,
@@ -53,24 +53,53 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _past_limit(text: str) -> str | None:
+    """Why int() refused `text` when the text is an integer, which can only
+    be for more digits than the interpreter's int-to-str limit: its digit
+    count, not the text. None for a text that is not an integer."""
+    integer = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", text)
+    if integer is None:
+        return None
+    digits = len(integer[1].replace("_", ""))
+    return (f"an integer of {digits} digits, past this interpreter's limit "
+            f"of {sys.get_int_max_str_digits()} digits")
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     values = []
     for part in text.split(","):
         try:
             values.append(int(part))
         except ValueError:
-            # int() reads every integer text but one with more digits than
-            # the interpreter's int-to-str limit; that one is named by its
-            # digit count, not echoed
-            integer = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", part)
-            if integer is None:
+            why = _past_limit(part)
+            if why is None:
                 raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
-            digits = len(integer[1].replace("_", ""))
-            raise ValueError(
-                f"{what} holds an integer of {digits} digits, past this "
-                f"interpreter's limit of {sys.get_int_max_str_digits()} digits"
-            )
+            raise ValueError(f"{what} holds {why}")
     return tuple(values)
+
+
+class _PastLimit(Exception):
+    """An integer flag past the int-to-str limit. Not a ValueError, which
+    argparse would turn into its usage and the whole text: `main` writes
+    it on one line."""
+
+
+def _int_flag(flag: str) -> Callable[[str], int]:
+    """The `type` of an integer flag: int, but refusing an integer past the
+    int-to-str limit by its digit count. Named `int`, which argparse's
+    "invalid int value" error writes."""
+
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            why = _past_limit(text)
+            if why is None:
+                raise
+            raise _PastLimit(f"{flag} is {why}") from None
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
@@ -292,23 +321,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("verify", help="brute-force check of the closed form")
     common(p, sizes_required=False)
-    p.add_argument("--max-cars", type=int, help="sweep bound on the number of cars")
-    p.add_argument("--max-total", type=int, help="sweep bound on the total size")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--max-cars", type=_int_flag("--max-cars"),
+                   help="sweep bound on the number of cars")
+    p.add_argument("--max-total", type=_int_flag("--max-total"),
+                   help="sweep bound on the total size")
+    p.add_argument("--budget", type=_int_flag("--budget"), default=DEFAULT_BUDGET,
                    help="maximum tuples per instance (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bijection",
                        help="exhaustively check the divider decoder is a bijection")
     common(p, flavored=False)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_int_flag("--budget"), default=DEFAULT_BUDGET,
                    help="maximum tuples (default %(default)s)")
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("sample", help="draw exactly-uniform parking sequences")
     common(p)
-    p.add_argument("--count", type=int, required=True, help="number of draws")
-    p.add_argument("--seed", type=int, required=True, help="random seed (mandatory)")
+    p.add_argument("--count", type=_int_flag("--count"), required=True,
+                   help="number of draws")
+    p.add_argument("--seed", type=_int_flag("--seed"), required=True,
+                   help="random seed (mandatory)")
     p.set_defaults(func=cmd_sample)
 
     return parser, sub.choices
@@ -326,11 +359,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = commands.get(argv[0]) if argv else None
-    args, rest = command.parse_known_args(argv[1:]) if command else (None, argv)
-    if args is None or rest:
-        args = parser.parse_args(argv)
     code = EXIT_OK
     try:
+        args, rest = command.parse_known_args(argv[1:]) if command else (None, argv)
+        if args is None or rest:
+            args = parser.parse_args(argv)
         code = args.func(args)
         # flushed here, so that a reader gone before the end of a short
         # output is seen below and not at the interpreter's exit
@@ -339,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, _PastLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -87,13 +87,18 @@ class TestRotate:
 
 def test_turn_matches_the_literal():
     # the one rule that turns spots, on every spot and every turn of
-    # circles of up to 10 spots: tuples no longer than the lot are turned
-    # one by one, longer ones by lookup in a table of the turned spots
-    for m in range(1, 11):
+    # circles of up to 10 spots and of 255, the largest whose spots fit in
+    # bytes: tuples no longer than the lot are turned one by one, longer
+    # ones by lookup in a table of the turned spots, and bytes by one
+    # translate, back as bytes
+    for m in (*range(1, 11), 255):
         longer = tuple(range(m, 0, -1)) * 3, (m,) * (m + 1)
         for spots in (tuple(range(1, m + 1)), *longer):
             for a in range(m):
-                assert _turn(spots, a, m) == tuple((x + a - 1) % m + 1 for x in spots)
+                literal = tuple((x + a - 1) % m + 1 for x in spots)
+                assert _turn(spots, a, m) == literal
+                turned = _turn(bytes(spots), a, m)
+                assert type(turned) is bytes and turned == bytes(literal)
 
 
 class TestEmptySpot:

@@ -211,6 +211,26 @@ class TestCount:
             )
             assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--sizes", "2,2", "--budget"),
+        ("bijection", "--sizes", "2,2", "--budget"),
+        ("verify", "--max-total", "3", "--max-cars"),
+        ("verify", "--max-cars", "2", "--max-total"),
+        ("sample", "--sizes", "2,2", "--seed", "1", "--count"),
+        ("sample", "--sizes", "2,2", "--count", "1", "--seed"),
+    ], ids=" ".join)
+    def test_an_integer_flag_past_the_digit_limit_is_refused_on_one_line(
+        self, capsys, argv
+    ):
+        # argparse's "invalid int value" would echo the whole text after its
+        # usage; the flag is named with the integer's digit count instead
+        code, out, err = run_cli(capsys, *argv, " +1_" + "0" * 4999 + " ")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {argv[-1]} is an integer of 5000 digits, past this "
+            f"interpreter's limit of {sys.get_int_max_str_digits()} digits\n"
+        )
+
 
 class TestLargeLots:
     """A lot of 10^12 spots answers at once: the cost grows with the number
