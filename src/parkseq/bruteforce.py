@@ -6,8 +6,9 @@ the closed-form count. The tally walks reachable occupancy states instead
 of materializing each tuple (a failed prefix fails every extension the
 same way, and distinct prefixes with equal occupancy behave identically
 from then on), which gives per-tuple-exact tallies without per-tuple work.
-Within a state, one mask finds the starts where the car's block fits, so
-a state costs that mask plus one step per fitting start, not the lot size.
+Within a state, one mask finds the starts where the car's block fits
+(`_fit`), so a state costs that mask plus one step per fitting start, not
+the lot size.
 The tests cross-check it against a literal one-simulation-per-tuple loop.
 Each flavor's lot is read from `core._lot`, which refuses unknown ones.
 
@@ -124,6 +125,27 @@ def _blocks(size: int, base: int, wrap: bool) -> list[int]:
     ]
 
 
+def _fit(size: int, base: int, wrap: bool) -> tuple[int, list[int], int]:
+    """(laps, shifts, room): the constants of the mask of starts where a
+    car of `size` fits, for a lot of `base` spots. From the free-spot mask
+    `free` (bit s-1 = spot s), the mask is `free * laps`, ANDed with itself
+    shifted down by each of `shifts` (ceil(log2 size) doubling shifts, the
+    last one short: size 5 shifts by 1, 2, 1), then with `room`. Its bit
+    j-1 is set where the car's whole block is free from start j. With
+    `wrap` the lot is a circle, copied onto three laps, and that bit is
+    base + j - 1, on the middle lap, so a block past spot `base` wraps into
+    the next lap; `room` keeps the middle lap. On the line the mask is one
+    lap and `room` bounds the starts whose block ends inside the lot:
+    `(free & room).bit_length()` is the highest free one, above which
+    `_tally` counts the preferences that run past the end.
+    """
+    full = (1 << base) - 1
+    laps = 1 | 1 << base | 1 << 2 * base if wrap else 1
+    shifts = [min(1 << k, size - (1 << k)) for k in range((size - 1).bit_length())]
+    room = full << base if wrap else full >> size - 1
+    return laps, shifts, room
+
+
 def _tally(
     sizes: SizeVector, flavor: Flavor, first_lo: int, first_hi: int
 ) -> tuple[int, int, int]:
@@ -133,9 +155,8 @@ def _tally(
     occupancy state they reach; counts are exact integers. The preferences
     in (previous free spot, j] cruise to free spot j, and the car parks if
     its block fits there. So a state costs one mask of the starts that fit
-    (free spots ANDed over ceil(log2 y) doubling shifts; on the circle over
-    three laps, read on the middle one, so that a block past M wraps and
-    the first free spot takes the wrapped trailing run) plus one step per
+    (`_fit`; on the circle it is read on the middle of three laps, so the
+    first free spot takes the wrapped trailing run) plus one step per
     fitting start. On the line the preferences above the highest free spot
     whose block ends in the lot run past the end; all other reach that
     meets no fitting start collides. The first car meets an empty lot,
@@ -155,12 +176,10 @@ def _tally(
     states = {blocks[j]: 1 for j in starts}
     collisions = 0
     lap = base if wrap else 0  # the offset of the lap the starts are read on
-    laps = 1 | 1 << base | 1 << 2 * base if wrap else 1
     for car, size in enumerate(rest, 2):
         # the last car's parked reach stays keyed by the state it came from
         blocks = [0] * lap + (_blocks(size, base, wrap) if car < n else [0] * (base + 1))
-        shifts = [min(1 << k, size - (1 << k)) for k in range((size - 1).bit_length())]
-        room = full << base if wrap else full >> size - 1
+        laps, shifts, room = _fit(size, base, wrap)
         tried = 0  # reach that does not run past the end
         nxt: dict[int, int] = {}
         for mask, count in states.items():
@@ -243,7 +262,7 @@ def _parking_states(
     block fits at, from low to high (on the circle the wrapped run, the
     highest preferences, comes last). Car n's runs depend on that mask
     alone, so they are found once per mask and kept only when car n parks
-    from it, which one fit mask of its starts tells, as in `_tally`. The
+    from it, which one fit mask of its starts tells (`_fit`). The
     same test drops every child of cars 1..n-2 that leaves car n no start:
     free spots only shrink as cars park, so none of its extensions parks
     car n (a unit car n always fits, so it is not tested then). So
@@ -280,11 +299,8 @@ def _parking_states(
             yield (), lo, hi, (j,), after
         return
     *tables, penultimate = tables
-    # car n's starts whose whole block is free, found as `_tally` finds them
     size = sizes.sizes[-1]
-    shifts = [min(1 << k, size - (1 << k)) for k in range((size - 1).bit_length())]
-    laps = 1 | 1 << base | 1 << 2 * base if wrap else 1
-    room = full << base if wrap else full >> size - 1
+    laps, shifts, room = _fit(size, base, wrap)  # car n's fit mask
 
     def parks(mask: int) -> bool:
         """Whether car n's block fits at some start that `mask` leaves free."""

@@ -31,6 +31,7 @@ from parkseq.bruteforce import (
     DEFAULT_BUDGET,
     BijectionReport,
     _blocks,
+    _fit,
     _parking_states,
     _tally,
     bijection_checks,
@@ -149,6 +150,31 @@ def test_blocks_cover_the_spots_a_parked_car_takes(wrap):
                     assert spots == set(block_spots(j, size, base, wrap))
 
 
+@pytest.mark.parametrize("wrap", [False, True])
+def test_fit_mask_is_the_literal_rule(wrap):
+    # every free mask of lots of 1..8 spots, every size that fits on the lot
+    for base in range(1, 9):
+        for size in range(1, base + 1):
+            laps, shifts, room = _fit(size, base, wrap)
+            lap = base if wrap else 0  # the bit offset of start 1
+            for free in range(1 << base):
+                fits = free * laps
+                for shift in shifts:
+                    fits &= fits >> shift
+                fits &= room
+                fitting = [
+                    j for j in range(1, base + 1)
+                    if (wrap or j - 1 + size <= base)
+                    and all(free >> (s - 1) & 1 for s in block_spots(j, size, base, wrap))
+                ]
+                assert fits == sum(1 << lap + j - 1 for j in fitting)
+                if not wrap:  # the highest free start whose block ends in the lot
+                    assert (free & room).bit_length() == max(
+                        (j for j in range(1, base - size + 2) if free >> (j - 1) & 1),
+                        default=0,
+                    )
+
+
 # the edge of the benchmark's oracle sweep (n = 6, T = 12), past the reach
 # of the hypothesis test above
 @pytest.mark.parametrize("flavor", ["linear", "circular"])
@@ -186,18 +212,27 @@ def test_tally_fits_mask_matches_prefix_reference(comp, flavor):
 @pytest.mark.parametrize("flavor", ["linear", "circular"])
 @pytest.mark.parametrize("comp", [(4,), (2, 1), (1, 2, 3), (2, 2, 1, 1)], ids=str)
 def test_tally_builds_no_block_table_for_the_last_car(monkeypatch, comp, flavor):
-    # the last car's reach is summed, so n cars build n - 1 tables
-    blocks = parkseq.bruteforce._blocks
-    calls = 0
+    # the last car's reach is summed, so n cars build n - 1 tables; cars
+    # 2..n each read one fit mask, and the walk reads car n's, from the
+    # one `_fit` both share
+    calls = Counter()
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return blocks(*args)
+    def counting(name):
+        original = getattr(parkseq.bruteforce, name)
 
-    monkeypatch.setattr(parkseq.bruteforce, "_blocks", counting)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(parkseq.bruteforce, name, counted)
+
+    counting("_blocks")
+    counting("_fit")
     assert verify(SizeVector(comp), flavor).match
-    assert calls == len(comp) - 1
+    assert (calls["_blocks"], calls["_fit"]) == (len(comp) - 1, len(comp) - 1)
+    calls.clear()
+    list(_parking_states(SizeVector(comp), flavor))
+    assert calls["_fit"] == (len(comp) >= 2)
 
 
 class TestVerify:
