@@ -9,6 +9,8 @@ import tracemalloc
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parkseq.cli
 from conftest import unlimited_str_digits
@@ -55,12 +57,14 @@ def run_json(capsys, *argv):
 # examples in text and --json, failures to park, the bijection and verify
 # reports, budget refusals (exit 3), usage errors (exit 2) from the library
 # and from argparse, and every --help text. test_cli_stdout runs them
-# in-process, and tests/cli_table.py runs them through the installed script.
+# in-process, and tests/cli_table.py runs them through the installed script,
+# each under one address-space limit and one timeout.
 # A new row is recorded from the program at the parent commit. Rows are
 # appended as lines, never re-recorded; an existing row's bytes change only
 # with a CHANGES.md line naming the behaviour that changed. The other tests
 # in this file check what a row cannot hold: counted work, memory bounds,
-# independent witnesses and the process boundary.
+# independent witnesses, the exit-code contract on random argvs and the
+# process boundary.
 with open(GOLDEN) as f:
     CLI_ROWS = json.load(f)["cli"]
 
@@ -111,6 +115,71 @@ def test_cli_rows_are_well_formed():
         set(row) == {"argv", "exit_code", "stdout", "stderr"} for row in CLI_ROWS
     )
     assert len({tuple(row["argv"]) for row in CLI_ROWS}) == len(CLI_ROWS)
+
+
+def numbers(hi):
+    """The text of an integer in [-2, hi]: plain most of the time, else
+    padded, with underscores between its digits (`1_0`) or in Arabic-Indic
+    digits; or a text that int() refuses: empty, not a number, or an
+    integer past the int-to-str digit limit."""
+    k = st.one_of(st.integers(1, hi), st.integers(-2, 0)).map(str)
+    return st.one_of(k, k, k, st.one_of(
+        k.map(" {} ".format), k.map("_".join),
+        k.map(lambda text: text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
+        st.sampled_from(["", "x", "1.5", "1" + "0" * 4300]),
+    ))
+
+
+# The value each flag takes. The sweep bounds and --count stay small, so
+# that no call sweeps or streams for long, and --budget small enough to
+# refuse some calls.
+INT_LISTS = st.lists(numbers(10), min_size=1, max_size=3).map(",".join)
+FLAG_VALUES = {
+    "--sizes": INT_LISTS, "--prefs": INT_LISTS,
+    "--budget": numbers(1000), "--seed": numbers(10),
+    "--max-cars": numbers(4), "--max-total": numbers(4), "--count": numbers(4),
+}
+FLAGS_OF = {
+    "simulate": ["--sizes", "--prefs", "--circular", "--json"],
+    "count": ["--sizes", "--circular", "--json"],
+    "verify": ["--sizes", "--max-cars", "--max-total", "--budget", "--circular", "--json"],
+    "bijection": ["--sizes", "--budget", "--json"],
+    "sample": ["--sizes", "--count", "--seed", "--circular", "--json"],
+}
+FLAGS = [*FLAG_VALUES, "--circular", "--json", "--help", "-h", "--bogus"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand or another first token, then, in any order, most of
+    that subcommand's flags with their values, and up to two stray flags or
+    small values put in anywhere."""
+    argv = [draw(st.sampled_from([*FLAGS_OF, "bogus"]))]
+    for flag in draw(st.permutations(FLAGS_OF.get(argv[0], FLAGS))):
+        if draw(st.sampled_from([True, True, True, False])):
+            argv.append(flag)
+            if flag in FLAG_VALUES:
+                argv.append(draw(FLAG_VALUES[flag]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        stray = draw(st.one_of(st.sampled_from(FLAGS), numbers(4)))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+# no per-example deadline: this test checks exits and streams, and a
+# loaded runner must not fail it on time
+@settings(deadline=None)
+@given(argvs())
+def test_no_argv_escapes_the_exit_code_contract(argv):
+    # whatever the tokens, a call ends in an exit code 0-3 with no
+    # exception but argparse's SystemExit; a usage error (2) or a refusal
+    # (3) prints nothing on stdout, and a success nothing on stderr
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out == ""
+    if code == 0:
+        assert err == ""
 
 
 class TestCount:
@@ -172,20 +241,6 @@ class TestCount:
         code, out, err = run_cli(capsys, command, "--sizes", UNIT_CARS_2000)
         assert (code, out) == (3, "")
         assert err.endswith(f" needs {digits} tuples, budget is 100000000\n")
-
-    @pytest.mark.parametrize("command, flavor, digits", [
-        ("verify", "linear", 315653), ("bijection", "circular", 315654)])
-    def test_refusal_on_the_most_cars_the_shell_passes(
-        self, capsys, command, flavor, digits
-    ):
-        # 65,536 unit cars: past the refusal's bound, the domain is named by
-        # its digit count and the size vector by its length
-        code, out, err = run_cli(capsys, command, "--sizes", ",".join(["1"] * 65536))
-        assert (code, out) == (3, "")
-        assert err == (
-            f"budget exceeded: enumeration of sizes=<length 65536> ({flavor}) "
-            f"needs <{digits} digits> tuples, budget is 100000000\n"
-        )
 
     @pytest.mark.parametrize("text", [
         " +1_" + "0" * 4999 + " ", "-" + "٣" * 4301,
@@ -440,19 +495,21 @@ class TestProcessLevel:
     ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     ENV.update(PYTHONPATH=SRC, COLUMNS="80")
 
+    # No call here takes a second, so one still running after 10 s is stuck.
     def run(self, *argv, module="parkseq"):
         return subprocess.run(
             [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=self.ENV,
+            capture_output=True, text=True, env=self.ENV, timeout=10,
         )
 
-    @pytest.mark.parametrize(
-        "call", ["simulate --sizes 2,2", "bogus", "sample --sizes 2,2 --count 1"]
-    )
+    @pytest.mark.parametrize("call", [
+        "simulate --sizes 2,2", "bogus", "sample --sizes 2,2 --count 1",
+        "count --sizes 2,2,1"])
     def test_argparse_exit_reaches_the_shell(self, call):
         # a missing flag, an unknown subcommand and the mandatory --seed:
-        # argparse's own SystemExit(2), seen from outside the interpreter,
-        # with the bytes of the call's cli row where it has one
+        # argparse's own SystemExit(2), seen from outside the interpreter;
+        # and a result, on stdout only. Each with the bytes of the call's
+        # cli row where it has one
         proc = self.run(*call.split())
         got = (proc.returncode, proc.stdout, proc.stderr)
         if call == "bogus":
@@ -461,11 +518,19 @@ class TestProcessLevel:
             row = next(r for r in CLI_ROWS if r["argv"] == call.split())
             assert got == (row["exit_code"], row["stdout"], row["stderr"])
 
-    def test_results_on_stdout_only(self):
-        proc = self.run("count", "--sizes", "2,2,1")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "30"
-        assert proc.stderr == ""
+    @pytest.mark.parametrize("command, flavor, digits", [
+        ("verify", "linear", 315653), ("bijection", "circular", 315654)])
+    def test_refusal_on_the_most_cars_the_shell_passes(self, command, flavor, digits):
+        # 65,536 unit cars, the longest --sizes one argv string holds (131,071
+        # bytes, too long for a cli row): past the refusal's bound, the
+        # domain is named by its digit count and the size vector by its
+        # length, at once
+        proc = self.run(command, "--sizes", ",".join(["1"] * 65536))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "",
+            f"budget exceeded: enumeration of sizes=<length 65536> ({flavor}) "
+            f"needs <{digits} digits> tuples, budget is 100000000\n",
+        )
 
     def test_parser_is_built_on_the_first_call_not_at_import(self):
         # count the argparse parsers made: none by the import, and none by
