@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from operator import eq
 from typing import Iterator
 
 from .circular import _turn
@@ -414,27 +415,29 @@ def bijection_checks(
     `_walk` places cars 2..n with car 1 at spot 1, once per codes
     of cars 2..n-1 with car n's whole range, which it reads off at most
     two layouts; car 1's code only turns the walk, as in `decode` and the
-    samplers, which walk car n's one code. So the walks are laid out
-    column by column, grouped by car 1's preference p (one group, p = 1,
-    unless a walk is wrong), and one `_turn` by c - p of each group decodes
-    into block c, where each decoded start is looked up (below M = 256
-    the columns are bytes, turned in one translate); the blocks are
-    disjoint, so the image is compared block by block, from the lookups
-    the validity check makes: the image is the block when each decode is
-    found in it and they have as many sequences. A turn by 1 maps block c
-    onto block c + 1, so the set is closed under every rotation exactly
-    when each block c is block 1 turned by c - 1. Turns compose, so the
-    image in block c is the image in block 1 turned by c - 1, and a turn
-    is one to one: the image set is filled from block 1 alone, and the
-    distinct decodes are M times its size. When the image in block 1 is
-    block 1, closure at block c is the image check there, and block 1 is
-    turned only when it is not.
+    samplers, which walk car n's one code. So each walk is one row of
+    preferences and starts, turned by 1 - p as it is collected if car 1
+    prefers p != 1 (only a wrong walk does), and the rows are laid out
+    column by column in one buffer: one `_turn` of it by c - 1 (a turn by
+    c - p of each row; below M = 256 the columns are bytes, turned in one
+    translate) decodes into block c, where each decoded start is looked
+    up. The blocks are disjoint, so the image is compared block by block,
+    from the lookups the validity check makes: the image is the block when
+    each decode is found in it and they have as many sequences. A turn by
+    1 maps block c onto block c + 1, so the set is closed under every
+    rotation exactly when each block c is block 1 turned by c - 1. Turns
+    compose, so the image in block c is the image in block 1 turned by
+    c - 1, and a turn is one to one: the image is counted in block 1
+    alone, and the distinct decodes are M times the count. When the image
+    in block 1 is block 1, closure at block c is the image check there,
+    and block 1 is turned only when it is not.
 
-    Each group's walk rows are let go as its columns are made. What is
-    held at once is the walk columns, one block dict, block 1's image and
-    one block's turned columns, each of `count_linear` rows: the
-    tracemalloc peak is 551-619 B per linear sequence on (3, 2, 1, 1, 1)
-    and (2, 2, 2, 2, 2) (Python 3.10-3.13; 763-831 B with tuple columns).
+    The walk rows are let go once the buffer is made. What is held at once
+    is the buffer, one block dict and one block's turned columns, each of
+    `count_linear` rows, and in block 1 the set its image is counted from:
+    the tracemalloc peak is 385-414 B per linear sequence on
+    (3, 2, 1, 1, 1) and (2, 2, 2, 2, 2) (Python 3.10-3.13; 531-574 B with
+    tuple columns).
     """
     m, _ = _check_budget(sizes, "circular", budget)
     n = sizes.n
@@ -448,17 +451,17 @@ def bijection_checks(
     # car n's codes, handed whole to each walk (car 1's with one car, which
     # the walk does not read)
     lasts = range(counts[-1])
-    walks: dict[int, list[tuple[int, ...]]] = {}
+    rows = []  # prefs + starts per walk, turned so that car 1 prefers spot 1
     for head in itertools.product(*map(range, counts[1:-1])):
         for prefs, starts, _ in _walk(prefix, head, lasts):
-            walks.setdefault(prefs[0], []).append(prefs + starts)
-    total = m * sum(map(len, walks.values()))
+            row = prefs + starts
+            rows.append(row if prefs[0] == 1 else _turn(row, (1 - prefs[0]) % m, m))
+    total = m * len(rows)
     # every spot lies in [1, M]: below 256 the columns are bytes, which
     # `_turn` turns in one translate, and read back as the same ints
     pack = bytes if m < 256 else tuple
-    # by car 1's preference: n preference columns, then n start columns; each
-    # group's rows are let go as its columns are made
-    groups = [(p, pack(itertools.chain(*zip(*walks.pop(p))))) for p in list(walks)]
+    columns = pack(itertools.chain(*zip(*rows)))  # n preference, then n start columns
+    del rows
 
     tails = [(c,) for c in range(m + 1)]  # a run's sequences are head + tails[c]
     spot_m_empty = (1 << (m - 1)) - 1  # the final occupancy of spots 1..T
@@ -469,7 +472,6 @@ def bijection_checks(
     run = next(runs, None)
     circular = 0
     decode_valid = image_equals_circular_set = rotation_invariant = True
-    image: set[tuple[int, ...]] = set()  # block 1's; block c's is it turned by c - 1
     for c in range(1, m + 1):
         block: dict[tuple[int, ...], tuple[int, ...]] = {}
         # car 1's preference: the head's first, or with one car the run's own
@@ -483,17 +485,14 @@ def bijection_checks(
                 linear += line[2] - line[1] + 1 if line else 0
             run = next(runs, None)
         circular += len(block)
-        found = True  # every decode is in the block, so the image is in it
-        for p, columns in groups:
-            spots = cut(_turn(columns, (c - p) % m, m), 2 * n)
-            prefs = list(zip(*spots[:n]))
-            if c == 1:
-                image.update(prefs)
-            witnessed = list(map(block.get, prefs))
-            valid = witnessed == list(zip(*spots[n:]))
-            decode_valid &= valid
-            found &= valid or None not in witnessed
-        closed = found and len(image) == len(block)
+        spots = cut(_turn(columns, c - 1, m), 2 * n)
+        if c == 1:  # block c's image is block 1's turned by c - 1, of one size
+            image_size = len(set(zip(*spots[:n])))
+        witnessed = list(map(block.get, zip(*spots[:n])))
+        valid = all(map(eq, witnessed, zip(*spots[n:])))
+        decode_valid &= valid
+        # with every decode in the block, the image is in it
+        closed = (valid or None not in witnessed) and image_size == len(block)
         image_equals_circular_set &= closed
         if c == 1:  # image c is image 1 turned by c - 1: once it is block 1, no turn
             first = None if closed else pack(itertools.chain(*zip(*block)))
@@ -506,7 +505,7 @@ def bijection_checks(
     for _, lo, hi, _, _ in linear_runs:  # linear runs no circular run matched
         linear += hi - lo + 1
         restriction = False
-    distinct = m * len(image)
+    distinct = m * image_size
 
     return BijectionReport(
         sizes=sizes,
@@ -531,7 +530,14 @@ def verify_sweep(
 ) -> list[EnumerationReport]:
     """Run verify over every composition within the bounds; `compositions`
     refuses a bound below 1, which would give an empty sweep that reads as
-    all matching."""
+    all matching. The whole sweep is admitted before any tally: the
+    compositions of n parts summing to T share one tuple domain, so the
+    first of each (n, T), (1, ..., 1, T - n + 1), stands for them all, and
+    the first refused is the one the sweep would reach first."""
+    next(compositions(max_n, max_total))  # a bound below 1 is refused first
+    for n in range(1, max_n + 1):
+        for total in range(n, max_total + 1):
+            _check_budget(SizeVector((1,) * (n - 1) + (total - n + 1,)), flavor, budget)
     return [
         verify(SizeVector(comp), flavor, budget=budget)
         for comp in compositions(max_n, max_total)

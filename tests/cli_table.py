@@ -14,9 +14,9 @@ import sys
 
 # Every row's child runs under this address-space limit, set in the child
 # only. Holding a whole parking set or block table ends in MemoryError
-# under it: the largest row, `bijection --sizes 3,2,1,1,1,1`, needs 71-76
+# under it: the largest row, `bijection --sizes 3,2,1,1,1,1`, needs 48-51
 # MiB on 3.10-3.13 and every other row under 22 MiB.
-LIMIT_BYTES = 96 * 2**20
+LIMIT_BYTES = 64 * 2**20
 # No row takes 2 s, so a call still running after this is stuck.
 TIMEOUT_S = 10
 

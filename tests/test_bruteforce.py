@@ -339,6 +339,18 @@ class TestSweep:
         )
         assert all(r.match for r in reports)
 
+    @pytest.mark.parametrize("flavor, refused", [
+        ("linear", (1,) * 9), ("circular", (1,) * 7 + (3,))])
+    def test_whole_sweep_is_admitted_before_any_tally(self, monkeypatch, flavor, refused):
+        # the compositions before the refused one are never tallied
+        def tally(*args):
+            raise AssertionError("tallied before the sweep was admitted")
+
+        monkeypatch.setattr(parkseq.bruteforce, "_tally", tally)
+        with pytest.raises(BudgetExceededError) as exc_info:
+            verify_sweep(10, 10, flavor)
+        assert (exc_info.value.sizes, exc_info.value.flavor) == (SizeVector(refused), flavor)
+
     @pytest.mark.parametrize("max_n, max_total", [(0, 5), (-2, 4), (3, 0)])
     def test_empty_bounds_refused(self, max_n, max_total):
         # an empty sweep would report all-match after checking nothing
@@ -697,6 +709,14 @@ def last_code_dropped(sizes, walks, circular):
              "walks": [w for i, w in enumerate(walks) if i % k < k - 1]}]
 
 
+def each_walk_turned(sizes, walks, circular):
+    """Walk i turned whole, preferences and starts, by i mod M: it decodes
+    to the same M sequences, so nothing changes."""
+    m = sizes.circle_size
+    return [{"walks": [(turn(prefs, i, m), turn(starts, i, m))
+                       for i, (prefs, starts) in enumerate(walks)]}]
+
+
 def each_rotation_of_the_first(sizes, walks, circular):
     """Block 1's first sequence, then each of its turns, one in each later
     block, dropped on its own."""
@@ -764,6 +784,8 @@ FAULTS = [
          ("option_sequences", "distinct_decodes"),
          count_circular(s) - count_circular(s) // _option_counts(s)[-1],
      ) | {"decode_injective": True, "decode_valid": True}),
+    (each_walk_turned, WITNESS_CASES, set(),
+     lambda s: vars(bijection_checks(s))),
     (each_rotation_of_the_first, [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)],
      {"rotation_invariant", "image_equals_circular_set"},
      lambda s: {"circular_parking_sequences": count_circular(s) - 1}),
@@ -860,7 +882,8 @@ def test_rotation_check_turns_block_1_when_its_image_differs(monkeypatch, comp):
     # the first walk has car 1 prefer spot 2, so the image in block 1 is not
     # block 1 and cannot stand for its turns: the rotation check turns the n
     # preference columns of block 1 once for each block but block 1, and the
-    # untouched circular set still reads closed
+    # untouched circular set still reads closed. The faulted walk is turned
+    # once, as it is collected, so that car 1 prefers spot 1
     sizes = SizeVector(comp)
     m, n, rows = sizes.circle_size, sizes.n, count_linear(sizes)
     turned = Counter()
@@ -872,9 +895,9 @@ def test_rotation_check_turns_block_1_when_its_image_differs(monkeypatch, comp):
     monkeypatch.setattr(parkseq.bruteforce, "_turn", counted_turn)
     [inputs] = car_1_prefers_2(sizes, decode_walks(sizes), None)
     report = faulted_checks(sizes, **inputs)
-    # one group of walks per car 1 preference, each turned once per block
-    groups = Counter({2 * n: m}) + Counter({2 * n * (rows - 1): m})
-    assert turned == groups + Counter({n * rows: m - 1})
+    # the faulted row once, then every walk's columns once per block
+    walks = Counter({2 * n: 1, 2 * n * rows: m})
+    assert turned == walks + Counter({n * rows: m - 1})
     assert report == reference_bijection_report(sizes, inputs["walks"])
     assert not report.image_equals_circular_set
     assert report.rotation_invariant
@@ -900,6 +923,23 @@ def test_bijection_checks_hold_one_block_at_a_time(comp, whole_set_mib):
         tracemalloc.stop()
     assert report.all_pass
     assert peak <= whole_set_mib / 10 * 2**20
+
+
+@pytest.mark.parametrize("comp", [(3, 2, 1, 1, 1), (2, 2, 2, 2, 2)], ids=str)
+def test_bijection_checks_hold_under_500_bytes_per_linear_sequence(comp):
+    # one buffer of walk columns and a count of block 1's image, not walks
+    # grouped by car 1's preference and the image set held through every
+    # block: 551-619 B per linear sequence before, 385-414 B after (tracemalloc,
+    # Python 3.10-3.13)
+    sizes = SizeVector(comp)
+    tracemalloc.start()
+    try:
+        report = bijection_checks(sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak <= 500 * count_linear(sizes)
 
 
 def test_bijection_checks_hold_under_700_bytes_per_linear_sequence():
