@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from operator import eq
 from typing import Iterator
@@ -531,13 +532,28 @@ def verify_sweep(
     """Run verify over every composition within the bounds; `compositions`
     refuses a bound below 1, which would give an empty sweep that reads as
     all matching. The whole sweep is admitted before any tally: the
-    compositions of n parts summing to T share one tuple domain, so the
-    first of each (n, T), (1, ..., 1, T - n + 1), stands for them all, and
-    the first refused is the one the sweep would reach first."""
+    compositions of n parts summing to T share the tuple domain of the
+    first of them, (1, ..., 1, T - n + 1), and that domain grows with T. So
+    for each n a bisection over T finds the first refused total, and the
+    first n that has one names the composition the sweep would reach
+    first."""
     next(compositions(max_n, max_total))  # a bound below 1 is refused first
+
+    def first(n: int, total: int) -> SizeVector:
+        return SizeVector((1,) * (n - 1) + (total - n + 1,))
+
+    def refused(sizes: SizeVector) -> bool:
+        try:
+            _check_budget(sizes, flavor, budget)
+        except BudgetExceededError:
+            return True
+        return False
+
     for n in range(1, max_n + 1):
-        for total in range(n, max_total + 1):
-            _check_budget(SizeVector((1,) * (n - 1) + (total - n + 1,)), flavor, budget)
+        totals = range(n, max_total + 1)
+        i = bisect_left(totals, True, key=lambda total: refused(first(n, total)))
+        if i < len(totals):
+            _check_budget(first(n, totals[i]), flavor, budget)
     return [
         verify(SizeVector(comp), flavor, budget=budget)
         for comp in compositions(max_n, max_total)

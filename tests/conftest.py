@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 from collections.abc import Iterator, Set
 from contextlib import contextmanager
@@ -190,6 +191,31 @@ def refuse_package_bindings(monkeypatch, functions, message: str) -> None:
             for attr, value in list(vars(module).items()):
                 if any(value is f for f in functions):
                     monkeypatch.setattr(module, attr, refuse)
+
+
+def peak_bytes(call):
+    """(call(), peak): what `call` returns and the tracemalloc peak, in
+    bytes, while it ran. A generator is consumed inside `call`, with
+    deque(gen, maxlen=0), or maxlen=1 to keep its last item."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def counted(monkeypatch, owner, name, key=lambda *args: None):
+    """Wrap owner.name while the test runs. Returns the list of key(*args)
+    of its calls, one entry per call, in call order."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 @contextmanager

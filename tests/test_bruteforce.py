@@ -2,8 +2,7 @@ import dataclasses
 import itertools
 import re
 import sys
-import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given
@@ -36,16 +35,17 @@ from parkseq.bruteforce import (
     _tally,
     bijection_checks,
 )
-from parkseq.circular import _turn
 from parkseq.counting import _option_counts
 from parkseq.divider import _walk
 from conftest import (
     block_spots,
+    counted,
     naive_free_spots,
     naive_parking_set,
     naive_prefix_tally,
     naive_simulate,
     naive_tally,
+    peak_bytes,
     refuse_package_bindings,
     unlimited_str_digits,
 )
@@ -215,35 +215,19 @@ def test_tally_builds_no_block_table_for_the_last_car(monkeypatch, comp, flavor)
     # the last car's reach is summed, so n cars build n - 1 tables; cars
     # 2..n each read one fit mask, and the walk reads car n's, from the
     # one `_fit` both share
-    calls = Counter()
-
-    def counting(name):
-        original = getattr(parkseq.bruteforce, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(parkseq.bruteforce, name, counted)
-
-    counting("_blocks")
-    counting("_fit")
+    blocks = counted(monkeypatch, parkseq.bruteforce, "_blocks")
+    fits = counted(monkeypatch, parkseq.bruteforce, "_fit")
     assert verify(SizeVector(comp), flavor).match
-    assert (calls["_blocks"], calls["_fit"]) == (len(comp) - 1, len(comp) - 1)
-    calls.clear()
+    assert (len(blocks), len(fits)) == (len(comp) - 1, len(comp) - 1)
+    fits.clear()
     list(_parking_states(SizeVector(comp), flavor))
-    assert calls["_fit"] == (len(comp) >= 2)
+    assert len(fits) == (len(comp) >= 2)
 
 
 class TestVerify:
     def test_one_car_circular_holds_no_block_table(self):
         # a block table of one car on M = 20001 spots took 51.9 MiB
-        tracemalloc.start()
-        try:
-            report = verify(SizeVector((20000,)), "circular")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = peak_bytes(lambda: verify(SizeVector((20000,)), "circular"))
         assert (report.parked, report.collisions, report.past_end) == (20001, 0, 0)
         assert report.match
         assert peak < 2**20
@@ -262,12 +246,7 @@ class TestVerify:
         # past one block per first coordinate a block would be empty, and
         # none is made: 10**8 partitions of base 3 cost what 3 do
         sizes = SizeVector((2, 1))
-        tracemalloc.start()
-        try:
-            report = verify(sizes, partitions=10**8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = peak_bytes(lambda: verify(sizes, partitions=10**8))
         assert report == verify(sizes)
         assert peak < 2**20
 
@@ -350,6 +329,39 @@ class TestSweep:
         with pytest.raises(BudgetExceededError) as exc_info:
             verify_sweep(10, 10, flavor)
         assert (exc_info.value.sizes, exc_info.value.flavor) == (SizeVector(refused), flavor)
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 10, 30, 100, 1000, 10**4])
+    @pytest.mark.parametrize("flavor", ["linear", "circular"])
+    def test_admission_names_the_first_refused_composition(self, monkeypatch, flavor, budget):
+        # against a scan of every composition in sweep order: the first whose
+        # tuple domain is past the budget is refused, or the sweep reaches
+        # its first tally
+        class Tallied(Exception):
+            pass
+
+        def tally(*args):
+            raise Tallied
+
+        monkeypatch.setattr(parkseq.bruteforce, "_tally", tally)
+        for max_n in range(1, 6):
+            for max_total in range(1, 13):
+                refused = next((
+                    comp for comp in compositions(max_n, max_total)
+                    if (sum(comp) + (flavor == "circular")) ** len(comp) > budget
+                ), None)
+                with pytest.raises(BudgetExceededError if refused else Tallied) as exc_info:
+                    verify_sweep(max_n, max_total, flavor, budget)
+                if refused:
+                    assert exc_info.value.sizes == SizeVector(refused)
+
+    def test_admission_bisects_the_totals(self, monkeypatch):
+        # 10**8 + 1 totals of one car, refused at the last: a scan that
+        # checks each total in turn takes minutes
+        checked = counted(monkeypatch, parkseq.bruteforce, "_check_budget")
+        with pytest.raises(BudgetExceededError) as exc_info:
+            verify_sweep(1, 10**8 + 1)
+        assert exc_info.value.sizes == SizeVector((10**8 + 1,))
+        assert len(checked) <= 60
 
     @pytest.mark.parametrize("max_n, max_total", [(0, 5), (-2, 4), (3, 0)])
     def test_empty_bounds_refused(self, max_n, max_total):
@@ -567,7 +579,7 @@ def faulted_checks(
 
 
 @pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
-def test_bijection_checks_match_reference(comp):
+def test_bijection_checks_match_reference(no_simulators, comp):
     sizes = SizeVector(comp)
     report = bijection_checks(sizes)
     assert report == reference_bijection_report(sizes)
@@ -619,14 +631,9 @@ def test_enumeration_holds_no_block_of_sequences():
     # peaks far below what one block of tuples takes
     sizes = SizeVector((1,) * 7)
     rows = count_linear(sizes)
-    tracemalloc.start()
-    try:
-        stream = enumerate_parking_sequences(sizes, "circular")
-        for last in itertools.islice(stream, rows + 1):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    [last], peak = peak_bytes(lambda: deque(
+        itertools.islice(enumerate_parking_sequences(sizes, "circular"), rows + 1),
+        maxlen=1))
     assert last.prefs == (2,) + (1,) * 6
     assert peak < rows * sys.getsizeof(tuple(range(7))) / 100
 
@@ -638,13 +645,7 @@ def test_walk_keeps_only_the_masks_the_last_car_parks_from(comp, flavor):
     # the whole walk peaked at 38 and 24 KiB on the circle, and keeping
     # every mask's runs at 472 and 168 KiB (tracemalloc, Python 3.11)
     sizes = SizeVector(comp)
-    tracemalloc.start()
-    try:
-        for _ in _parking_states(sizes, flavor):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: deque(_parking_states(sizes, flavor), maxlen=0))
     assert peak < 96 * 2**10
 
 
@@ -856,23 +857,12 @@ def test_bijection_checks_walk_and_turn_counts(monkeypatch, comp):
     # and turns nothing more
     sizes = SizeVector(comp)
     m, n, rows = sizes.circle_size, sizes.n, count_linear(sizes)
-    walks = 0
-    turned = Counter()
-
-    def walk(*args):
-        nonlocal walks
-        walks += 1
-        return _walk(*args)
-
-    def counted_turn(spots, a, m):
-        turned[type(spots), len(spots)] += 1
-        return _turn(spots, a, m)
-
-    monkeypatch.setattr(parkseq.bruteforce, "_walk", walk)
-    monkeypatch.setattr(parkseq.bruteforce, "_turn", counted_turn)
+    walks = counted(monkeypatch, parkseq.bruteforce, "_walk")
+    turned = counted(monkeypatch, parkseq.bruteforce, "_turn",
+                     lambda spots, a, m: (type(spots), len(spots)))
     report = bijection_checks(sizes)
-    assert walks == (rows // _option_counts(sizes)[-1] if n > 1 else 1)
-    assert turned == {(bytes if m < 256 else tuple, 2 * n * rows): m}
+    assert len(walks) == (rows // _option_counts(sizes)[-1] if n > 1 else 1)
+    assert Counter(turned) == {(bytes if m < 256 else tuple, 2 * n * rows): m}
     assert report.option_sequences == count_circular(sizes)
     assert report == reference_bijection_report(sizes)
 
@@ -886,27 +876,16 @@ def test_rotation_check_turns_block_1_when_its_image_differs(monkeypatch, comp):
     # once, as it is collected, so that car 1 prefers spot 1
     sizes = SizeVector(comp)
     m, n, rows = sizes.circle_size, sizes.n, count_linear(sizes)
-    turned = Counter()
-
-    def counted_turn(spots, a, m):
-        turned[len(spots)] += 1
-        return _turn(spots, a, m)
-
-    monkeypatch.setattr(parkseq.bruteforce, "_turn", counted_turn)
+    turned = counted(monkeypatch, parkseq.bruteforce, "_turn",
+                     lambda spots, a, m: len(spots))
     [inputs] = car_1_prefers_2(sizes, decode_walks(sizes), None)
     report = faulted_checks(sizes, **inputs)
     # the faulted row once, then every walk's columns once per block
     walks = Counter({2 * n: 1, 2 * n * rows: m})
-    assert turned == walks + Counter({n * rows: m - 1})
+    assert Counter(turned) == walks + Counter({n * rows: m - 1})
     assert report == reference_bijection_report(sizes, inputs["walks"])
     assert not report.image_equals_circular_set
     assert report.rotation_invariant
-
-
-@pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)], ids=str)
-def test_bijection_checks_never_simulate(no_simulators, comp):
-    sizes = SizeVector(comp)
-    assert bijection_checks(sizes) == reference_bijection_report(sizes)
 
 
 @pytest.mark.parametrize(
@@ -915,44 +894,21 @@ def test_bijection_checks_never_simulate(no_simulators, comp):
 def test_bijection_checks_hold_one_block_at_a_time(comp, whole_set_mib):
     # holding the whole circular set and image peaked at 11.7 and 56.6 MiB
     # (tracemalloc, Python 3.11); one block at a time must take a tenth
-    tracemalloc.start()
-    try:
-        report = bijection_checks(SizeVector(comp))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = peak_bytes(lambda: bijection_checks(SizeVector(comp)))
     assert report.all_pass
     assert peak <= whole_set_mib / 10 * 2**20
 
 
 @pytest.mark.parametrize("comp", [(3, 2, 1, 1, 1), (2, 2, 2, 2, 2)], ids=str)
 def test_bijection_checks_hold_under_500_bytes_per_linear_sequence(comp):
-    # one buffer of walk columns and a count of block 1's image, not walks
-    # grouped by car 1's preference and the image set held through every
-    # block: 551-619 B per linear sequence before, 385-414 B after (tracemalloc,
-    # Python 3.10-3.13)
+    # five cars, where the walks are many: one buffer of walk columns and a
+    # count of block 1's image, not walks grouped by car 1's preference and
+    # the image set held through every block. Holding the spot-M-empty and
+    # linear sets as well peaked at 1,072-1,111 B per linear sequence, the
+    # grouped walks at 551-619 B and the one buffer at 385-414 B
+    # (tracemalloc, Python 3.10-3.13)
     sizes = SizeVector(comp)
-    tracemalloc.start()
-    try:
-        report = bijection_checks(sizes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = peak_bytes(lambda: bijection_checks(sizes))
     assert report.all_pass
     assert peak <= 500 * count_linear(sizes)
 
-
-def test_bijection_checks_hold_under_700_bytes_per_linear_sequence():
-    # five cars, where the walks are many: holding the spot-M-empty and
-    # linear sets as well peaked at 1,072-1,111 B per linear sequence, the
-    # run-for-run restriction check at 815-831 B with tuple columns, and
-    # 611-619 B with bytes columns (tracemalloc, Python 3.10-3.13)
-    sizes = SizeVector((3, 2, 1, 1, 1))
-    tracemalloc.start()
-    try:
-        report = bijection_checks(sizes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.all_pass
-    assert peak <= 700 * count_linear(sizes)

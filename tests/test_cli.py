@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from random import Random
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parkseq.cli
-from conftest import unlimited_str_digits
+from conftest import counted, peak_bytes, unlimited_str_digits
 from parkseq import (
     PrefSequence,
     SizeVector,
@@ -333,12 +332,7 @@ class TestLargeLots:
         ],
     )
     def test_answers_without_lot_sized_memory(self, capsys, argv, expected):
-        tracemalloc.start()
-        try:
-            code = main([*argv, "--json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(lambda: main([*argv, "--json"]))
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(out) == expected
@@ -371,12 +365,9 @@ class TestSample:
             argv = ["sample", "--sizes", "2,1,3", "--count", str(count),
                     "--seed", "1", *as_json]
             with contextlib.redirect_stdout(NullStdout()):
-                tracemalloc.start()
-                try:
-                    assert main(argv) == 0
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                code, peak = peak_bytes(lambda: main(argv))
+            assert code == 0
+            return peak
 
         # first-call allocations (argparse, caches) are not draws; the
         # interpreter's free lists of small tuples keep a bounded number of
@@ -427,21 +418,10 @@ def test_a_call_is_parsed_once_by_its_subcommands_parser(capsys, monkeypatch):
     # parser's parse_args never runs; a token left over sends the call
     # through the top-level parser as well, which exits 2 with its own usage
     parser, commands = parkseq.cli.build_parser()
-    parsed, full = [], []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
-    parse_args = argparse.ArgumentParser.parse_args
-
-    def counting_parse_known_args(self, *args, **kwargs):
-        parsed.append(self)
-        return parse_known_args(self, *args, **kwargs)
-
-    def counting_parse_args(self, *args, **kwargs):
-        full.append(self)
-        return parse_args(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                        counting_parse_known_args)
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting_parse_args)
+    parsed, full = (
+        counted(monkeypatch, argparse.ArgumentParser, name, lambda self, *args: self)
+        for name in ("parse_known_args", "parse_args")
+    )
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, "count", "--sizes", "2,2,1") == (0, "30\n", "")
     assert parsed == [commands["count"]]
@@ -464,14 +444,7 @@ def test_a_call_is_parsed_once_by_its_subcommands_parser(capsys, monkeypatch):
 def test_verify_formats_each_report_once(monkeypatch, as_json):
     # the work done, counted: each of the sweep's 41 reports has its fields
     # written out once, and its text line is read off that dict
-    made = []
-    report_dict = parkseq.cli._report_dict
-
-    def counting_report_dict(report):
-        made.append(report)
-        return report_dict(report)
-
-    monkeypatch.setattr(parkseq.cli, "_report_dict", counting_report_dict)
+    made = counted(monkeypatch, parkseq.cli, "_report_dict")
     with contextlib.redirect_stdout(NullStdout()):
         assert main(["verify", "--max-cars", "3", "--max-total", "6", *as_json]) == 0
     assert len(made) == 41

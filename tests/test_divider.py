@@ -39,6 +39,7 @@ from parkseq.circular import _turn
 from parkseq.counting import _option_counts
 from parkseq.divider import _walk
 from conftest import (
+    counted,
     encode,
     naive_free_spots,
     naive_parking_set,
@@ -400,17 +401,9 @@ def test_samplers_and_decode_run_the_walk_bijection_checks_runs(monkeypatch, com
     # bijection_checks witnesses the walk the samplers and decode run: the
     # same function, called once per draw or decode with the one code of
     # car n (car 1's when it is the only car)
-    import parkseq.bruteforce
-    import parkseq.divider
-
     assert parkseq.bruteforce._walk is parkseq.divider._walk
-    calls = []
-
-    def walk(prefix, rest, lasts):
-        calls.append(list(lasts))
-        return _walk(prefix, rest, lasts)
-
-    monkeypatch.setattr(parkseq.divider, "_walk", walk)
+    calls = counted(monkeypatch, parkseq.divider, "_walk",
+                    lambda prefix, rest, lasts: list(lasts))
     sizes = SizeVector(comp)
     options = enumerate_option_sequences(sizes)
     for codes, opts in zip(option_codes(sizes), options, strict=True):
