@@ -579,7 +579,7 @@ def faulted_checks(
 
 
 @pytest.mark.parametrize("comp", list(compositions(4, 6)), ids=str)
-def test_bijection_checks_match_reference(no_simulators, comp):
+def test_bijection_checks_match_reference(comp):
     sizes = SizeVector(comp)
     report = bijection_checks(sizes)
     assert report == reference_bijection_report(sizes)
@@ -886,6 +886,12 @@ def test_rotation_check_turns_block_1_when_its_image_differs(monkeypatch, comp):
     assert report == reference_bijection_report(sizes, inputs["walks"])
     assert not report.image_equals_circular_set
     assert report.rotation_invariant
+
+
+@pytest.mark.parametrize("comp", [(1,), (2, 1), (2, 2), (1, 2, 1), (3, 1, 2)], ids=str)
+def test_bijection_checks_never_simulate(no_simulators, comp):
+    sizes = SizeVector(comp)
+    assert bijection_checks(sizes) == reference_bijection_report(sizes)
 
 
 @pytest.mark.parametrize(
