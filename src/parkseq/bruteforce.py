@@ -148,6 +148,33 @@ def _fit(size: int, base: int, wrap: bool) -> tuple[int, list[int], int]:
     return laps, shifts, room
 
 
+def _groups(
+    mask: int, blocks: list[int], base: int, wrap: bool
+) -> list[tuple[int, int, int, int]]:
+    """(lo, hi, j, mask after) from low to high: the preferences lo..hi
+    that cruise to free spot j and park there, with the car's blocks
+    (`_blocks`). The lot has `base` spots, and `mask` holds the taken ones
+    (bit s-1 = spot s); with `wrap` it is a circle, and the preferences
+    past the last free spot cruise on to the first. The walk's step: one
+    block-table read per free spot."""
+    free = rest = ((1 << base) - 1) & ~mask
+    found = []
+    lo = 1
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = low.bit_length()
+        block = blocks[j]
+        if block and not mask & block:
+            found.append((lo, j, j, mask | block))
+        lo = j + 1
+    if wrap and lo <= base:  # the run past the last free spot wraps
+        j = (free & -free).bit_length()
+        if not mask & blocks[j]:
+            found.append((lo, base, j, mask | blocks[j]))
+    return found
+
+
 def _tally(
     sizes: SizeVector, flavor: Flavor, first_lo: int, first_hi: int
 ) -> tuple[int, int, int]:
@@ -275,29 +302,9 @@ def _parking_states(
     base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
 
-    def groups(mask: int, blocks: list[int]) -> list[tuple[int, int, int, int]]:
-        """(lo, hi, j, mask after) from low to high: the preferences lo..hi
-        that cruise to free spot j and park there, with the car's blocks."""
-        free = rest = full & ~mask
-        found = []
-        lo = 1
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length()
-            block = blocks[j]
-            if block and not mask & block:
-                found.append((lo, j, j, mask | block))
-            lo = j + 1
-        if wrap and lo <= base:  # the run past the last free spot wraps
-            j = (free & -free).bit_length()
-            if not mask & blocks[j]:
-                found.append((lo, base, j, mask | blocks[j]))
-        return found
-
     *tables, last = [_blocks(size, base, wrap) for size in sizes.sizes]
     if not tables:  # one car: its runs from the empty lot
-        for lo, hi, j, after in groups(0, last):
+        for lo, hi, j, after in _groups(0, last, base, wrap):
             yield (), lo, hi, (j,), after
         return
     *tables, penultimate = tables
@@ -316,19 +323,20 @@ def _parking_states(
     while stack:
         prefix, starts, mask = stack.pop()
         if len(prefix) < len(tables):
-            for lo, hi, j, child in reversed(groups(mask, tables[len(prefix)])):
+            blocks = tables[len(prefix)]
+            for lo, hi, j, child in reversed(_groups(mask, blocks, base, wrap)):
                 if size > 1 and not parks(child):  # a unit car n always parks
                     continue
                 parked = starts + (j,)
                 for c in range(hi, lo - 1, -1):
                     stack.append((prefix + (c,), parked, child))
             continue
-        for lo, hi, j, child in groups(mask, penultimate):
+        for lo, hi, j, child in _groups(mask, penultimate, base, wrap):
             runs = kept.get(child)
             if runs is None:
                 if not parks(child):  # car n parks from no start: not kept
                     continue
-                runs = kept[child] = groups(child, last)
+                runs = kept[child] = _groups(child, last, base, wrap)
             parked = starts + (j,)
             for c in range(lo, hi + 1):
                 head = prefix + (c,)
@@ -356,11 +364,12 @@ def enumerate_parking_sequences(
 
 def compositions(max_n: int, max_total: int) -> Iterator[tuple[int, ...]]:
     """All tuples of positive integers with at most max_n parts summing to
-    at most max_total, in (n, lexicographic) order. A bound below 1 admits
-    no composition, so it raises ValueError rather than yield nothing."""
+    at most max_total, in (n, lexicographic) order; none has more parts
+    than its total, so n stops at max_total. A bound below 1 admits no
+    composition, so it raises ValueError rather than yield nothing."""
     _ints((max_n, max_total), "sweep bounds must be >= 1, got max_n={max_n}, "
           "max_total={max_total}", max_n=max_n, max_total=max_total)
-    for n in range(1, max_n + 1):
+    for n in range(1, min(max_n, max_total) + 1):
         for total in range(n, max_total + 1):
             for cuts in itertools.combinations(range(1, total), n - 1):
                 edges = (0,) + cuts + (total,)
@@ -536,7 +545,7 @@ def verify_sweep(
     first of them, (1, ..., 1, T - n + 1), and that domain grows with T. So
     for each n a bisection over T finds the first refused total, and the
     first n that has one names the composition the sweep would reach
-    first."""
+    first. As in `compositions`, n stops at max_total."""
     next(compositions(max_n, max_total))  # a bound below 1 is refused first
 
     def first(n: int, total: int) -> SizeVector:
@@ -549,7 +558,7 @@ def verify_sweep(
             return True
         return False
 
-    for n in range(1, max_n + 1):
+    for n in range(1, min(max_n, max_total) + 1):
         totals = range(n, max_total + 1)
         i = bisect_left(totals, True, key=lambda total: refused(first(n, total)))
         if i < len(totals):

@@ -102,6 +102,23 @@ def _int_flag(flag: str) -> Callable[[str], int]:
     return parse
 
 
+class _AnyDigits:
+    """Lifts the int-to-str digit limit inside a `with` block, in which a
+    command writes spots and preferences. Each is at most the lot M, which
+    sums sizes the limit admitted, so it has only a few more digits than
+    the limit and costs microseconds to write. Input is parsed before,
+    under the limit; the limit is the interpreter's, so it is lifted for
+    the whole process. A class, not `contextlib.contextmanager`, which
+    costs about four times as much per block."""
+
+    def __enter__(self) -> None:
+        self.limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc: object) -> None:
+        sys.set_int_max_str_digits(self.limit)
+
+
 def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload))
@@ -118,37 +135,39 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = simulate(sizes, prefs)
     payload: dict = {"command": "simulate", "sizes": list(sizes.sizes), "flavor": flavor}
     lines: list[str] = []
-    if isinstance(result, Parked):
-        layout = result.layout
-        m = sizes.circle_size
-        records = []
-        for car, (s, y) in enumerate(zip(layout.starts, sizes.sizes), start=1):
-            end = wrap_spot(s + y - 1, m)  # on the line s + y - 1 <= T < M
-            records.append({"car": car, "start": s, "end": end})
-        records.sort(key=lambda r: r["start"])
-        payload["result"] = "parked"
-        payload["layout"] = records
-        lines.append("parked")
-        for r in records:
-            lines.append(f"  C{r['car']} @ {r['start']}-{r['end']}")
-        if flavor == "circular":
-            e = empty_spot(layout)
-            payload["empty_spot"] = e
-            lines.append(f"  empty spot: {e}")
-        code = EXIT_OK
-    elif isinstance(result, Collision):
-        payload.update(result="collision", **dataclasses.asdict(result))
-        lines.append(
-            f"collision: car {result.car} found spot {result.first_empty} empty "
-            f"but spot {result.blocked} is taken"
-        )
-        code = EXIT_NEGATIVE
-    else:
-        assert isinstance(result, PastEnd)
-        payload.update(result="past_end", **dataclasses.asdict(result))
-        lines.append(f"past end: car {result.car} drove past the end of the lot")
-        code = EXIT_NEGATIVE
-    _emit(payload, args.json, lines)
+    # spots are at most M, which can be past the digit limit
+    with _AnyDigits():
+        if isinstance(result, Parked):
+            layout = result.layout
+            m = sizes.circle_size
+            records = []
+            for car, (s, y) in enumerate(zip(layout.starts, sizes.sizes), start=1):
+                end = wrap_spot(s + y - 1, m)  # on the line s + y - 1 <= T < M
+                records.append({"car": car, "start": s, "end": end})
+            records.sort(key=lambda r: r["start"])
+            payload["result"] = "parked"
+            payload["layout"] = records
+            lines.append("parked")
+            for r in records:
+                lines.append(f"  C{r['car']} @ {r['start']}-{r['end']}")
+            if flavor == "circular":
+                e = empty_spot(layout)
+                payload["empty_spot"] = e
+                lines.append(f"  empty spot: {e}")
+            code = EXIT_OK
+        elif isinstance(result, Collision):
+            payload.update(result="collision", **dataclasses.asdict(result))
+            lines.append(
+                f"collision: car {result.car} found spot {result.first_empty} empty "
+                f"but spot {result.blocked} is taken"
+            )
+            code = EXIT_NEGATIVE
+        else:
+            assert isinstance(result, PastEnd)
+            payload.update(result="past_end", **dataclasses.asdict(result))
+            lines.append(f"past end: car {result.car} drove past the end of the lot")
+            code = EXIT_NEGATIVE
+        _emit(payload, args.json, lines)
     return code
 
 
@@ -260,22 +279,24 @@ def cmd_sample(args: argparse.Namespace) -> int:
     rng = Random(args.seed)
     draw = sample_circular if flavor == "circular" else sample_linear
     draws = (draw(sizes, rng).prefs for _ in range(args.count))
-    if not args.json:
-        for prefs in draws:
-            print(",".join(map(str, prefs)))
-        return EXIT_OK
-    head = json.dumps({
-        "command": "sample",
-        "sizes": list(sizes.sizes),
-        "flavor": flavor,
-        "seed": args.seed,
-        "count": args.count,
-        "samples": [],
-    })
-    print(head[:-2], end="")  # up to and including the samples' "["
-    for k, prefs in enumerate(draws):
-        print(", " if k else "", json.dumps(prefs), sep="", end="")
-    print("]}")
+    # preferences are at most M, which can be past the digit limit
+    with _AnyDigits():
+        if not args.json:
+            for prefs in draws:
+                print(",".join(map(str, prefs)))
+            return EXIT_OK
+        head = json.dumps({
+            "command": "sample",
+            "sizes": list(sizes.sizes),
+            "flavor": flavor,
+            "seed": args.seed,
+            "count": args.count,
+            "samples": [],
+        })
+        print(head[:-2], end="")  # up to and including the samples' "["
+        for k, prefs in enumerate(draws):
+            print(", " if k else "", json.dumps(prefs), sep="", end="")
+        print("]}")
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ from parkseq.bruteforce import (
     BijectionReport,
     _blocks,
     _fit,
+    _groups,
     _parking_states,
     _tally,
     bijection_checks,
@@ -41,6 +42,7 @@ from conftest import (
     block_spots,
     counted,
     naive_free_spots,
+    naive_park,
     naive_parking_set,
     naive_prefix_tally,
     naive_simulate,
@@ -175,6 +177,32 @@ def test_fit_mask_is_the_literal_rule(wrap):
                     )
 
 
+@pytest.mark.parametrize("wrap", [False, True])
+def test_groups_are_the_literal_step(wrap):
+    # every occupancy mask of lots of 1..7 spots (on the circle, those that
+    # leave a spot free) and every size: each preference c is parked with
+    # naive_park, and consecutive c that park at one start are one group,
+    # save that on the circle the c past the start, which wrap to it, begin
+    # their own (with one free spot, 1..j and j+1..M are two groups)
+    for base in range(1, 8):
+        for size in range(1, base + 1):
+            blocks = _blocks(size, base, wrap)
+            for mask in range((1 << base) - wrap):
+                taken = {s for s in range(1, base + 1) if mask >> (s - 1) & 1}
+                groups = []
+                for c in range(1, base + 1):
+                    block = naive_park(taken, c, size, base, wrap)
+                    if block[-1] > base or taken.intersection(block):
+                        continue
+                    j = block[0]
+                    if groups and groups[-1][1:3] == [c - 1, j] and c - 1 != j:
+                        groups[-1][1] = c
+                    else:
+                        after = mask | sum(1 << (s - 1) for s in block)
+                        groups.append([c, c, j, after])
+                assert _groups(mask, blocks, base, wrap) == list(map(tuple, groups))
+
+
 # the edge of the benchmark's oracle sweep (n = 6, T = 12), past the reach
 # of the hypothesis test above
 @pytest.mark.parametrize("flavor", ["linear", "circular"])
@@ -287,21 +315,12 @@ class TestEnumerate:
     def test_fewer_steps_than_sequences(self, monkeypatch):
         # a prefix costs one block-table lookup per free spot, shared by all
         # its extensions, so the walk takes fewer steps than it yields
-        # sequences
-        blocks = parkseq.bruteforce._blocks
-        calls = 0
-
-        class Counting(list):
-            def __getitem__(self, j):
-                nonlocal calls
-                calls += 1
-                return super().__getitem__(j)
-
-        monkeypatch.setattr(parkseq.bruteforce, "_blocks",
-                            lambda *args: Counting(blocks(*args)))
+        # sequences: 32,296 lookups for 262,144
+        free = counted(monkeypatch, parkseq.bruteforce, "_groups",
+                       lambda mask, blocks, base, wrap: base - mask.bit_count())
         yielded = sum(1 for _ in enumerate_parking_sequences(SizeVector((1,) * 7)))
         assert yielded == 8**6
-        assert 0 < calls < yielded
+        assert 0 < sum(free) < yielded
 
 
 class TestSweep:
@@ -469,6 +488,8 @@ def test_budget_below_one_is_a_value_error(gate, budget):
 def test_compositions_generator():
     comps = list(compositions(2, 3))
     assert comps == [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1)]
+    # no composition has more parts than its total: the parts stop there
+    assert list(compositions(10**18, 3)) == comps + [(1, 1, 1)]
 
 
 def test_all_pass_reads_every_check():
@@ -649,25 +670,16 @@ def test_walk_keeps_only_the_masks_the_last_car_parks_from(comp, flavor):
     assert peak < 96 * 2**10
 
 
-def test_walk_extends_no_prefix_the_last_car_cannot_park_from():
+def test_walk_extends_no_prefix_the_last_car_cannot_park_from(monkeypatch):
     # on (2, 3, 1, 40) the long last car parks from few of the prefixes cars
     # 1..3 leave: extending every parked prefix read the free spots 1,943
     # times for the 384 sequences, and dropping each prefix that leaves car
-    # n no fitting start 44 times (counted by the walk's `groups` calls)
+    # n no fitting start 44 times (counted by the walk's `_groups` calls)
     sizes = SizeVector((2, 3, 1, 40))
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code.co_name == "groups"
-
-    sys.setprofile(profile)
-    try:
-        runs = list(_parking_states(sizes, "linear"))
-    finally:
-        sys.setprofile(None)
+    calls = counted(monkeypatch, parkseq.bruteforce, "_groups")
+    runs = list(_parking_states(sizes, "linear"))
     assert sum(hi - lo + 1 for _, lo, hi, _, _ in runs) == count_linear(sizes) == 384
-    assert calls <= 100
+    assert len(calls) <= 100
 
 
 # Each fault of the table below takes the size vector, the decoded walks and

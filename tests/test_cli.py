@@ -131,8 +131,13 @@ def numbers(hi):
 
 # The value each flag takes. The sweep bounds and --count stay small, so
 # that no call sweeps or streams for long, and --budget small enough to
-# refuse some calls.
-INT_LISTS = st.lists(numbers(10), min_size=1, max_size=3).map(",".join)
+# refuse some calls. A size or preference may also be an integer of 4,300
+# digits, the most int() reads, so that the lot and the spots written
+# reach past the digit limit.
+INT_LISTS = st.lists(
+    st.one_of(numbers(10), numbers(10), numbers(10), st.just("9" * 4300)),
+    min_size=1, max_size=3,
+).map(",".join)
 FLAG_VALUES = {
     "--sizes": INT_LISTS, "--prefs": INT_LISTS,
     "--budget": numbers(1000), "--seed": numbers(10),
