@@ -3,83 +3,76 @@
 Simulation of the parking rule on linear and circular lots, closed-form
 counts, the movable-divider decoder and exactly-uniform samplers, and a
 brute-force verification oracle.
+
+`import parkseq` loads no layer. Each public name is read from the module
+that defines it, at every read (PEP 562), and the first read imports that
+module and the layers it imports: `parkseq.SizeVector` loads
+`parkseq.core` and nothing else. No value is kept here, so a function
+patched where it is defined (`parkseq.bruteforce.verify`) is what
+`parkseq.verify` gives.
 """
 
-from .core import (
-    Collision,
-    Layout,
-    Parked,
-    ParkResult,
-    PastEnd,
-    PrefSequence,
-    SizeVector,
-    is_classical_parking_function,
-    is_parking_sequence,
-    simulate_linear,
-)
-from .counting import count_circular, count_classical, count_linear, option_count
-from .circular import (
-    empty_spot,
-    restrict_to_linear,
-    rotate,
-    simulate_circular,
-    wrap_spot,
-)
-from .divider import (
-    CarOption,
-    Cruise,
-    Direct,
-    OptionSequence,
-    decode,
-    enumerate_option_sequences,
-    options_for_car,
-    sample_circular,
-    sample_linear,
-)
-from .bruteforce import (
-    BudgetExceededError,
-    EnumerationReport,
-    compositions,
-    enumerate_parking_sequences,
-    verify,
-    verify_sweep,
-)
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CarOption",
-    "Collision",
-    "Cruise",
-    "Direct",
-    "EnumerationReport",
-    "Layout",
-    "OptionSequence",
-    "Parked",
-    "ParkResult",
-    "PastEnd",
-    "PrefSequence",
-    "SizeVector",
-    "compositions",
-    "count_circular",
-    "count_classical",
-    "count_linear",
-    "decode",
-    "empty_spot",
-    "enumerate_option_sequences",
-    "enumerate_parking_sequences",
-    "is_classical_parking_function",
-    "is_parking_sequence",
-    "option_count",
-    "options_for_car",
-    "restrict_to_linear",
-    "rotate",
-    "sample_circular",
-    "sample_linear",
-    "simulate_circular",
-    "simulate_linear",
-    "verify",
-    "verify_sweep",
-    "wrap_spot",
-]
+# Each public name and the module that defines it, in `__all__` order.
+_HOME = {
+    "BudgetExceededError": "parkseq.bruteforce",
+    "CarOption": "parkseq.divider",
+    "Collision": "parkseq.core",
+    "Cruise": "parkseq.divider",
+    "Direct": "parkseq.divider",
+    "EnumerationReport": "parkseq.bruteforce",
+    "Layout": "parkseq.core",
+    "OptionSequence": "parkseq.divider",
+    "Parked": "parkseq.core",
+    "ParkResult": "parkseq.core",
+    "PastEnd": "parkseq.core",
+    "PrefSequence": "parkseq.core",
+    "SizeVector": "parkseq.core",
+    "compositions": "parkseq.bruteforce",
+    "count_circular": "parkseq.counting",
+    "count_classical": "parkseq.counting",
+    "count_linear": "parkseq.counting",
+    "decode": "parkseq.divider",
+    "empty_spot": "parkseq.circular",
+    "enumerate_option_sequences": "parkseq.divider",
+    "enumerate_parking_sequences": "parkseq.bruteforce",
+    "is_classical_parking_function": "parkseq.core",
+    "is_parking_sequence": "parkseq.core",
+    "option_count": "parkseq.counting",
+    "options_for_car": "parkseq.divider",
+    "restrict_to_linear": "parkseq.circular",
+    "rotate": "parkseq.circular",
+    "sample_circular": "parkseq.divider",
+    "sample_linear": "parkseq.divider",
+    "simulate_circular": "parkseq.circular",
+    "simulate_linear": "parkseq.core",
+    "verify": "parkseq.bruteforce",
+    "verify_sweep": "parkseq.bruteforce",
+    "wrap_spot": "parkseq.circular",
+}
+
+__all__ = list(_HOME)
+
+_SUBMODULES = ("bruteforce", "circular", "cli", "core", "counting", "divider")
+
+
+def __getattr__(name: str) -> object:
+    """The public `name` from its module, imported on the first read, or
+    the submodule `name`; reached only for names this module lacks."""
+    try:  # a loaded module: sys.modules costs half of what import_module does
+        return getattr(sys.modules[_HOME[name]], name)
+    except KeyError:
+        pass
+    if name in _HOME:
+        return getattr(importlib.import_module(_HOME[name]), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

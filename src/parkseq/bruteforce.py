@@ -31,14 +31,13 @@ circle.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from operator import eq
 from typing import Iterator
 
 from .circular import _turn
-from .core import Flavor, PrefSequence, SizeVector, _ints, _lot
+from .core import Flavor, PrefSequence, SizeVector, _digit_count, _ints, _lot
 from .counting import _decimal, _option_counts, count_circular, count_linear
 from .divider import _walk
 
@@ -52,17 +51,7 @@ _SHOWN = 10_000
 
 def _shown_int(x: int) -> str:
     """x >= 1 in full up to `_SHOWN` digits, else as "<d digits>"."""
-    if x < 10**_SHOWN:
-        return _decimal(x)
-    k = int((x.bit_length() - 1) * math.log10(2))  # about log10(x), from below
-    power = 10**k
-    while power > x:  # the float's rounding only
-        power //= 10
-        k -= 1
-    while power * 10 <= x:
-        power *= 10
-        k += 1
-    return f"<{k + 1} digits>"
+    return _decimal(x) if x < 10**_SHOWN else _digit_count(x)
 
 
 def _shown_sizes(ys: tuple[int, ...]) -> str:

@@ -21,6 +21,7 @@ from .core import (
     _check_prefs,
     _ints,
     _park,
+    _shown,
 )
 
 
@@ -86,7 +87,7 @@ def empty_spot(layout: Layout) -> int:
     for s, y in blocks:
         if s <= end:
             raise ValueError(
-                f"expected exactly one empty spot, blocks overlap at spot {s}"
+                f"expected exactly one empty spot, blocks overlap at spot {_shown(s)}"
             )
         if s > end + 1:
             spot = end + 1

@@ -16,16 +16,52 @@ from typing import Iterable, Literal, Sequence, Union
 Flavor = Literal["linear", "circular"]
 
 
+def _digit_count(x: int) -> str:
+    """x != 0 as "<d digits>", its decimal digit count ("-<d digits>" below
+    0), worked out without writing x, so it costs no more than x itself."""
+    if x < 0:
+        return "-" + _digit_count(-x)
+    k = int((x.bit_length() - 1) * math.log10(2))  # about log10(x), from below
+    power = 10**k
+    while power > x:  # the float's rounding only
+        power //= 10
+        k -= 1
+    while power * 10 <= x:
+        power *= 10
+        k += 1
+    return f"<{k + 1} digits>"
+
+
+class _Shown(str):
+    """A number a message cannot write in full. Its repr is its text, so
+    "{}" and "{!r}" in a message write it alike."""
+
+    __repr__ = str.__str__
+
+
+def _shown(value: object) -> object:
+    """The one writer of numbers in messages: `value` as it is, but an int
+    past the int-to-str digit limit as its `_digit_count`."""
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            return _Shown(_digit_count(value))
+    return value
+
+
 def _ints(
     values: Iterable[object], error: str, lo: float = 1, hi: float = math.inf,
     **fields: object,
 ) -> None:
     """The integer rule of every public input: each value is an exact int,
     so `bool` is refused, inside [lo, hi]. The first value that breaks it
-    raises ValueError(error.format(value, lo=lo, hi=hi, **fields))."""
+    raises ValueError(error.format(value, lo=lo, hi=hi, **fields)), each
+    argument written by `_shown`."""
     for x in values:
         if type(x) is not int or not lo <= x <= hi:
-            raise ValueError(error.format(x, lo=lo, hi=hi, **fields))
+            shown = {k: _shown(v) for k, v in dict(fields, lo=lo, hi=hi).items()}
+            raise ValueError(error.format(_shown(x), **shown))
 
 
 @dataclass(frozen=True)
@@ -56,7 +92,7 @@ def _lot(sizes: SizeVector, flavor: str) -> tuple[int, bool]:
         return sizes.total, False
     if flavor == "circular":
         return sizes.circle_size, True
-    raise ValueError(f"unknown flavor {flavor!r}")
+    raise ValueError(f"unknown flavor {_shown(flavor)!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +105,7 @@ class PrefSequence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefs", tuple(self.prefs))
         if self.flavor not in ("linear", "circular"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+            raise ValueError(f"unknown flavor {_shown(self.flavor)!r}")
         _ints(self.prefs, "preferences must be positive integers, got {!r}")
 
     def __len__(self) -> int:

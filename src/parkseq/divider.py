@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 # empty_spot is unused here; only perfbench's uninstall test reads it
 from .circular import _turn, empty_spot
-from .core import Layout, PrefSequence, SizeVector, _ints
+from .core import Layout, PrefSequence, SizeVector, _ints, _shown
 from .counting import _option_counts
 
 
@@ -194,7 +194,7 @@ def decode(
             _ints((k,), "car {i}: cruise offset {} outside [1, {hi}]", hi=ys[j - 1], i=i)
             codes.append(direct + prefix[j - 1] + k - 1)
         else:
-            raise ValueError(f"car {i}: unknown option {opt!r}")
+            raise ValueError(f"car {i}: unknown option {_shown(opt)!r}")
 
     [walked] = _walk(prefix, codes[1:-1], codes[-1:])
     prefs, starts = (_turn(x, codes[0], m) for x in walked[:2])

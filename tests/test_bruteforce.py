@@ -682,6 +682,18 @@ def test_walk_extends_no_prefix_the_last_car_cannot_park_from(monkeypatch):
     assert len(calls) <= 100
 
 
+@pytest.mark.parametrize("ys, bound", [((1, 1, 1, 1, 1, 2), 2002), ((3, 1, 1, 1, 2), 345)])
+def test_walk_prunes_for_a_last_car_of_size_two(monkeypatch, ys, bound):
+    # the prune holds for every last car longer than one spot: keeping the
+    # prefixes that leave a car of size 2 no fitting start takes 2,430 and
+    # 383 `_groups` calls on these inputs
+    sizes = SizeVector(ys)
+    calls = counted(monkeypatch, parkseq.bruteforce, "_groups")
+    runs = list(_parking_states(sizes, "linear"))
+    assert sum(hi - lo + 1 for _, lo, hi, _, _ in runs) == count_linear(sizes)
+    assert len(calls) <= bound
+
+
 # Each fault of the table below takes the size vector, the decoded walks and
 # the circular parking set, and gives the faulted inputs of one or more runs
 # of faulted_checks. The walk faults change the first walk, where cars 2..n

@@ -17,6 +17,7 @@ from parkseq import (
     compositions,
     count_classical,
     decode,
+    empty_spot,
     is_classical_parking_function,
     is_parking_sequence,
     option_count,
@@ -175,6 +176,26 @@ CONSTRUCTOR_CALLS = {
 def test_public_constructors_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: simulate_linear(SizeVector((10**4300,)), PrefSequence((10**4301,))),
+     "preference <4302 digits> outside [1, <4301 digits>]"),
+    (lambda: SizeVector((-10**4400,)),
+     "car sizes must be positive integers, got -<4401 digits>"),
+    (lambda: PrefSequence((1,), 10**5000), "unknown flavor <5001 digits>"),
+    (lambda: decode(SizeVector((1, 1)), OptionSequence(1, (-10**5000,))),
+     "car 2: unknown option -<5001 digits>"),
+    (lambda: empty_spot(Layout(SizeVector((10**4300,) * 2), (10**4300,) * 2,
+                               "circular")),
+     "expected exactly one empty spot, blocks overlap at spot <4301 digits>"),
+], ids=["preference-and-bound", "negative-size", "flavor", "option", "overlap"])
+def test_messages_write_numbers_past_the_digit_limit(build, message):
+    # str() refuses ints past the interpreter's 4,300-digit limit, so such a
+    # number is written as its digit count
+    with pytest.raises(ValueError) as refusal:
+        build()
+    assert str(refusal.value) == message
 
 
 class TestClassicalChecker:
