@@ -47,6 +47,44 @@ def test_a_patch_where_the_name_is_defined_is_what_the_package_reads():
     assert child(script) == ["True", "True", "False"]
 
 
+def test_a_read_waits_for_a_layer_another_thread_is_loading():
+    # the divider's body is held back once it is in sys.modules, and a
+    # second thread then reads a divider name: it must get the value, not
+    # the half-built module's AttributeError
+    script = (
+        "import importlib.machinery, sys, threading, time, parkseq\n"
+        "started = threading.Event()\n"
+        "class Held:\n"
+        "    @staticmethod\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        if name != 'parkseq.divider':\n"
+        "            return None\n"
+        "        spec = importlib.machinery.PathFinder.find_spec(name, path)\n"
+        "        run = spec.loader.exec_module\n"
+        "        def exec_module(module):\n"
+        "            started.set()\n"
+        "            time.sleep(0.3)\n"
+        "            run(module)\n"
+        "        spec.loader.exec_module = exec_module\n"
+        "        return spec\n"
+        "sys.meta_path.insert(0, Held)\n"
+        "got = {}\n"
+        "def read(name):\n"
+        "    try:\n"
+        "        got[name] = getattr(parkseq, name).__module__\n"
+        "    except AttributeError as e:\n"
+        "        got[name] = type(e).__name__\n"
+        "first = threading.Thread(target=read, args=('sample_linear',))\n"
+        "first.start()\n"
+        "started.wait(10)\n"
+        "second = threading.Thread(target=read, args=('options_for_car',))\n"
+        "second.start()\n"
+        "first.join(); second.join()\n"
+        "print(got['sample_linear'], got['options_for_car'])"
+    )
+    assert child(script) == ["parkseq.divider", "parkseq.divider"]
+
+
 def test_each_public_name_is_the_object_its_module_defines():
     for name in parkseq.__all__:
         value = getattr(parkseq, name)
@@ -65,6 +103,15 @@ def test_star_import_binds_every_public_name():
 
 def test_dir_lists_every_public_name():
     assert set(parkseq.__all__) <= set(dir(parkseq))
+
+
+def test_the_layers_are_attributes_and_the_cli_is_not():
+    script = (
+        "import parkseq\n"
+        "layers = ('bruteforce', 'circular', 'core', 'counting', 'divider')\n"
+        "print(all(hasattr(parkseq, m) for m in layers), hasattr(parkseq, 'cli'))"
+    )
+    assert child(script) == ["True", "False"]
 
 
 def test_an_unknown_name_raises_attribute_error():
