@@ -38,8 +38,8 @@ from typing import Iterator
 
 from .circular import _turn
 from .core import Flavor, PrefSequence, SizeVector, _digit_count, _ints, _lot
-from .counting import _decimal, _option_counts, count_circular, count_linear
-from .divider import _walk
+from .counting import _decimal, count_circular, count_linear
+from .divider import _plan, _walk
 
 DEFAULT_BUDGET = 10**8
 
@@ -445,8 +445,7 @@ def bijection_checks(
         rows = len(spots) // width  # `width` equal columns laid end to end
         return [spots[k * rows:(k + 1) * rows] for k in range(width)]
 
-    prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
-    counts = _option_counts(sizes, prefix)
+    prefix, counts = _plan(sizes)
     # car n's codes, handed whole to each walk (car 1's with one car, which
     # the walk does not read)
     lasts = range(counts[-1])

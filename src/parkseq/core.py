@@ -78,11 +78,20 @@ class SizeVector:
         # Derived once here, not on every read: the kernel and the decoder
         # read them on every call. They are not dataclass fields, so
         # equality, hashing, repr and dataclasses.fields see only `sizes`.
+        # One more such entry is kept by another layer, and only there:
+        # `_plan`, the prefix sums and option counts that `divider._plan`
+        # works out on a vector's first draw, decode or bijection check.
         object.__setattr__(self, "n", len(self.sizes))
         # spots in the linear lot: T = sum of sizes
         object.__setattr__(self, "total", sum(self.sizes))
         # spots on the circular lot: M = T + 1
         object.__setattr__(self, "circle_size", self.total + 1)
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[int, ...]]]:
+        # A pickle or copy holds the sizes alone and is built again from
+        # them, so no derived entry is written out: a drawn vector's plan
+        # would more than treble the pickle of 1,000 unit cars.
+        return type(self), (self.sizes,)
 
 
 def _lot(sizes: SizeVector, flavor: str) -> tuple[int, bool]:

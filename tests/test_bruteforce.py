@@ -37,7 +37,7 @@ from parkseq.bruteforce import (
     bijection_checks,
 )
 from parkseq.counting import _option_counts
-from parkseq.divider import _walk
+from parkseq.divider import _plan, _walk
 from conftest import (
     block_spots,
     counted,
@@ -573,9 +573,9 @@ def faulted_checks(
     """bijection_checks(sizes) on faulted inputs: `walks` fed in code order
     through `_walk`, one in place of each walk it returns (one per code of
     car n it is handed), which must use them all up; `counts` in place of
-    `_option_counts`; the sequences in `dropped` left out of the circular
-    walk, where a run that loses one is fed as one-sequence runs of the
-    rest, while the linear walk is untouched."""
+    the option counts of the vector's `_plan`; the sequences in `dropped`
+    left out of the circular walk, where a run that loses one is fed as
+    one-sequence runs of the rest, while the linear walk is untouched."""
     fed = iter(walks or ())
 
     def parking_states(sizes, flavor):
@@ -592,7 +592,8 @@ def faulted_checks(
             monkeypatch.setattr(parkseq.bruteforce, "_walk", lambda *args: [
                 (*next(fed), None) for _ in _walk(*args)])
         if counts is not None:
-            monkeypatch.setattr(parkseq.bruteforce, "_option_counts", lambda *_: counts)
+            monkeypatch.setattr(parkseq.bruteforce, "_plan",
+                                lambda sizes: (_plan(sizes)[0], counts))
         monkeypatch.setattr(parkseq.bruteforce, "_parking_states", parking_states)
         report = bijection_checks(sizes)
     assert next(fed, None) is None

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from random import Random
@@ -12,14 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parkseq.cli
-from conftest import counted, peak_bytes, unlimited_str_digits
+from conftest import (
+    counted,
+    naive_free_spots,
+    naive_parking_set,
+    naive_simulate,
+    naive_tally,
+    peak_bytes,
+    unlimited_str_digits,
+)
 from parkseq import (
+    Collision,
+    Parked,
     PrefSequence,
     SizeVector,
     count_classical,
     is_parking_sequence,
     sample_circular,
     sample_linear,
+    wrap_spot,
 )
 from parkseq.bruteforce import BijectionReport, EnumerationReport
 from parkseq.cli import main
@@ -184,6 +197,149 @@ def test_no_argv_escapes_the_exit_code_contract(argv):
         assert out == ""
     if code == 0:
         assert err == ""
+
+
+# What a well-formed call may draw: every size vector with n <= 4 and
+# T <= 7, in which the default budget admits every command, and a size of
+# 4,300 nines, the most digits int() reads, which takes the lot and the
+# spots written past the digit limit.
+SMALL_SIZES = [
+    ys for n in range(1, 5) for ys in itertools.product(range(1, 8), repeat=n)
+    if sum(ys) <= 7
+]
+AT_LIMIT = 10**4300 - 1
+
+
+@st.composite
+def admitted_calls(draw):
+    """(argv without --json, sizes, flavor, at_limit): a subcommand with a
+    small size vector, --circular or not where it takes one, --prefs in [1,
+    lot], --count <= 3 and a --seed, its flags in any order. One
+    simulate, count or sample call in four has one size of 4,300 nines."""
+    command = draw(st.sampled_from(list(FLAGS_OF)))
+    sizes = list(draw(st.sampled_from(SMALL_SIZES)))
+    at_limit = command in ("simulate", "count", "sample") and draw(
+        st.sampled_from([True] + [False] * 3))
+    if at_limit:
+        sizes[draw(st.integers(0, len(sizes) - 1))] = AT_LIMIT
+    circular = command == "bijection" or draw(st.booleans())
+    flags = {"--sizes": ",".join(map(str, sizes))}
+    if circular and command != "bijection":
+        flags["--circular"] = None
+    if command == "simulate":
+        lot = sum(sizes) + circular
+        flags["--prefs"] = ",".join(
+            str(draw(st.integers(1, min(lot, AT_LIMIT)))) for _ in sizes)
+    if command == "sample":
+        flags["--count"] = str(draw(st.integers(0, 3)))
+        flags["--seed"] = str(draw(st.integers(-(2**64), 2**64)))
+    argv = [command]
+    for flag in draw(st.permutations(list(flags))):
+        argv += [flag] if flags[flag] is None else [flag, flags[flag]]
+    return argv, tuple(sizes), "circular" if circular else "linear", at_limit
+
+
+def document_numbers(doc):
+    """The numbers a call's text output writes, in order, read off its
+    --json document."""
+    command = doc["command"]
+    if command == "simulate":
+        if doc["result"] == "parked":
+            numbers = [x for r in doc["layout"] for x in (r["car"], r["start"], r["end"])]
+            return numbers + [doc["empty_spot"]] if "empty_spot" in doc else numbers
+        if doc["result"] == "collision":
+            return [doc["car"], doc["first_empty"], doc["blocked"]]
+        return [doc["car"]]
+    if command == "count":
+        return [doc["count"]]
+    if command == "verify":
+        (report,) = doc["reports"]
+        return [*report["sizes"], *(report[k] for k in (
+            "total_tuples", "parked", "collisions", "past_end", "formula"))]
+    if command == "bijection":
+        return [doc[k] for k in ("option_sequences", "distinct_decodes",
+                                 "circular_parking_sequences", "linear_parking_sequences")]
+    return list(itertools.chain(*doc["samples"]))
+
+
+def check_document(doc, argv, sizes, flavor):
+    """The --json document of the call `argv` on a small size vector against
+    conftest's literal witnesses. Returns the exit code it must have."""
+    vector = SizeVector(sizes)
+    lot = vector.circle_size if flavor == "circular" else vector.total
+    command = doc["command"]
+    if command == "simulate":
+        prefs = tuple(map(int, argv[argv.index("--prefs") + 1].split(",")))
+        result = naive_simulate(vector, PrefSequence(prefs, flavor), flavor)
+        if isinstance(result, Parked):
+            assert doc["result"] == "parked"
+            starts = {r["car"]: r["start"] for r in doc["layout"]}
+            assert [starts[car] for car in range(1, len(sizes) + 1)] == list(
+                result.layout.starts)
+            assert [r["end"] for r in doc["layout"]] == [
+                wrap_spot(r["start"] + sizes[r["car"] - 1] - 1, lot) for r in doc["layout"]]
+            if flavor == "circular":
+                assert naive_free_spots(result.layout) == {doc["empty_spot"]}
+            return 0
+        if isinstance(result, Collision):
+            assert (doc["result"], doc["car"], doc["first_empty"], doc["blocked"]) == (
+                "collision", result.car, result.first_empty, result.blocked)
+        else:
+            assert (doc["result"], doc["car"]) == ("past_end", result.car)
+        return 1
+    parked = naive_parking_set(vector, flavor)
+    if command == "count":
+        assert doc["count"] == str(len(parked))
+    elif command == "verify":
+        (report,) = doc["reports"]
+        tally = naive_tally(vector, flavor)
+        assert [int(report[k]) for k in ("parked", "collisions", "past_end")] == list(tally)
+        assert int(report["total_tuples"]) == lot ** len(sizes) == sum(tally)
+        assert report["match"] and doc["all_match"]
+    elif command == "bijection":
+        assert doc["all_pass"]
+        assert doc["circular_parking_sequences"] == str(
+            len(naive_parking_set(vector, "circular")))
+        assert doc["linear_parking_sequences"] == str(
+            len(naive_parking_set(vector, "linear")))
+    else:
+        assert all(tuple(draw) in parked for draw in doc["samples"])
+    return 0
+
+
+# no per-example deadline, as above; 100 examples take about 0.3 s, and
+# a change to cli.py or to a sampler is run once at 20,000 besides
+@settings(deadline=None, max_examples=100)
+@given(admitted_calls())
+def test_an_admitted_call_prints_what_the_witnesses_report(call):
+    # a call that parses and that the budget admits prints its result: its
+    # --json document holds what the literal references find, its exit
+    # code is 0 but for a simulate that does not park, and its text output
+    # writes the same numbers with the same exit code and no stderr
+    argv, sizes, flavor, at_limit = call
+    code, out, err = run_main([*argv, "--json"])
+    assert err == ""
+    with unlimited_str_digits():
+        doc = json.loads(out)
+    shown = [list(sizes)] if argv[0] == "verify" else list(sizes)  # one per report
+    assert (doc["command"], doc["sizes"], doc["flavor"]) == (argv[0], shown, flavor)
+    if at_limit:  # too large a lot for the witnesses
+        assert code in ((0, 1) if argv[0] == "simulate" else (0,))
+        if argv[0] == "sample":
+            lot = sum(sizes) + (flavor == "circular")
+            assert all(len(d) == len(sizes) and all(1 <= c <= lot for c in d)
+                       for d in doc["samples"])
+    else:
+        assert code == check_document(doc, argv, sizes, flavor)
+    if argv[0] == "sample":
+        assert (doc["count"], doc["seed"]) == tuple(
+            int(argv[argv.index(flag) + 1]) for flag in ("--count", "--seed"))
+        assert len(doc["samples"]) == doc["count"]
+    text_code, text, text_err = run_main(argv)
+    assert (text_code, text_err) == (code, "")
+    with unlimited_str_digits():
+        expected = [str(x) for x in document_numbers(doc)]
+    assert re.findall(r"\d+", text) == expected
 
 
 class TestCount:

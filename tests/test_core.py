@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from parkseq import (
     option_count,
     options_for_car,
     rotate,
+    sample_linear,
     simulate_circular,
     simulate_linear,
     verify,
@@ -88,15 +90,21 @@ class TestInputContract:
         assert (sv.n, sv.total, sv.circle_size) == (3, 5, 6)
 
     def test_derived_quantities_stay_out_of_the_value(self):
-        # n, total and circle_size are stored once per instance; the value
-        # of a SizeVector is still its sizes alone
-        sv = SizeVector([2, 2, 1])
-        assert [f.name for f in dataclasses.fields(sv)] == ["sizes"]
-        assert repr(sv) == "SizeVector(sizes=(2, 2, 1))"
-        assert sv == SizeVector((2, 2, 1)) and hash(sv) == hash(SizeVector((2, 2, 1)))
-        assert dataclasses.replace(sv, sizes=(4,)).circle_size == 5
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            sv.total = 6
+        # n, total and circle_size are stored once per instance, and a draw
+        # keeps the vector's plan beside them; the value of a SizeVector is
+        # still its sizes alone, before and after its draws
+        for draws in (0, 1, 3):
+            sv = SizeVector([2, 2, 1])
+            rng = Random(1)
+            for _ in range(draws):
+                sample_linear(sv, rng)
+            assert [f.name for f in dataclasses.fields(sv)] == ["sizes"]
+            assert repr(sv) == "SizeVector(sizes=(2, 2, 1))"
+            assert sv == SizeVector((2, 2, 1)) and hash(sv) == hash(SizeVector((2, 2, 1)))
+            assert dataclasses.replace(sv, sizes=(4,)).circle_size == 5
+            for name in ("total", "_plan"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(sv, name, 6)
 
 
 CONSTRUCTOR_CALLS = {

@@ -13,7 +13,7 @@ from parkseq import (
     options_for_car,
 )
 from conftest import unlimited_str_digits
-from parkseq.counting import _decimal
+from parkseq.counting import _PRODUCT_CUT, _decimal, _product
 
 size_vectors = st.lists(st.integers(1, 6), min_size=1, max_size=8).map(
     lambda xs: SizeVector(tuple(xs))
@@ -83,6 +83,24 @@ def test_option_counts_multiply_to_circular(sizes):
     # not share the option counts that count_circular multiplies
     later = math.prod(len(options_for_car(sizes, i)) for i in range(2, sizes.n + 1))
     assert sizes.circle_size * later == count_circular(sizes)
+
+
+# factor lists of every length up to two halvings past the cut below which
+# _product is math.prod, the length drawn first so that long ones come up
+@given(st.integers(0, 4 * _PRODUCT_CUT + 3).flatmap(
+    lambda k: st.lists(st.integers(-(2**70), 2**70), min_size=k, max_size=k)))
+def test_product_tree_is_math_prod(factors):
+    assert _product(factors) == math.prod(factors)
+
+
+@pytest.mark.parametrize("n", [_PRODUCT_CUT, _PRODUCT_CUT + 2, 4 * _PRODUCT_CUT + 1])
+def test_counts_past_the_product_cut(n):
+    # (n+1)^(n-1) unit cars, and sizes 1..n, whose count is the literal
+    # left-to-right product of the option counts
+    assert count_linear(SizeVector((1,) * n)) == count_classical(n)
+    sizes = SizeVector(tuple(range(1, n + 1)))
+    later = [i * (i - 1) // 2 + n + 2 - i for i in range(2, n + 1)]
+    assert count_circular(sizes) == sizes.circle_size * math.prod(later)
 
 
 @given(size_vectors)

@@ -1,7 +1,10 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
+import pickle
 from collections import Counter
 from random import Random, SystemRandom
 
@@ -335,6 +338,44 @@ class TestSamplers:
         sizes = SizeVector((1, 2))
         rng = Random(seed)
         assert is_parking_sequence(sizes, sample_linear(sizes, rng))
+
+
+class TestPlan:
+    """A vector's draw plan, its prefix sums and option counts, is worked
+    out on its first read and kept: every later draw, decode and bijection
+    check reads it, and it is not part of the vector's value."""
+
+    def test_a_vector_works_out_its_option_counts_once(self, monkeypatch):
+        calls = counted(monkeypatch, parkseq.divider, "_option_counts")
+        sizes = SizeVector((2, 1, 3))
+        rng = Random(5)
+        for _ in range(10):
+            sample_linear(sizes, rng)
+            sample_circular(sizes, rng)
+        decode(sizes, OptionSequence(1, (Direct(1), Cruise(1, 2))))
+        assert parkseq.bruteforce.bijection_checks(sizes).all_pass
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sample", [sample_linear, sample_circular])
+    def test_a_copy_of_a_drawn_vector_draws_as_a_fresh_one(self, sample):
+        # a replaced vector has new sizes and must not keep the old plan; a
+        # pickle or copy holds the sizes alone, as a fresh vector's does
+        drawn = SizeVector((3, 1, 2, 1))
+        sample(drawn, Random(0))
+        assert pickle.dumps(drawn) == pickle.dumps(SizeVector((3, 1, 2, 1)))
+        copies = [
+            (dataclasses.replace(drawn, sizes=(1, 2, 1)), (1, 2, 1)),
+            (dataclasses.replace(drawn, sizes=(3, 1, 2, 1, 4)), (3, 1, 2, 1, 4)),
+            (pickle.loads(pickle.dumps(drawn)), (3, 1, 2, 1)),
+            (copy.deepcopy(drawn), (3, 1, 2, 1)),
+        ]
+        for copied, comp in copies:
+            for seed in range(3):
+                expected, rng = Random(seed), Random(seed)
+                fresh = SizeVector(comp)
+                assert [sample(copied, rng) for _ in range(20)] == [
+                    sample(fresh, expected) for _ in range(20)]
+                assert rng.getstate() == expected.getstate()
 
 
 class ScriptedRandom(Random):
