@@ -6,9 +6,12 @@ the closed-form count. The tally walks reachable occupancy states instead
 of materializing each tuple (a failed prefix fails every extension the
 same way, and distinct prefixes with equal occupancy behave identically
 from then on), which gives per-tuple-exact tallies without per-tuple work.
-Within a state, one mask finds the starts where the car's block fits
-(`_fit`), so a state costs that mask plus one step per fitting start, not
-the lot size.
+A state is keyed by its free-spot mask. Within it, one mask finds the
+starts where the car's block fits (`_fit`), so a state costs that mask
+plus one step per fitting start, not the lot size; a unit car fits at
+every free spot, so it needs no mask and steps over the free spots. The
+last car's parked reach is summed, not stored, and on the circle the
+trailing unit cars, which always park, are a factor M each.
 The tests cross-check it against a literal one-simulation-per-tuple loop.
 Each flavor's lot is read from `core._lot`, which refuses unknown ones.
 
@@ -170,59 +173,110 @@ def _tally(
     """Classify every tuple whose first coordinate lies in [first_lo, first_hi].
 
     Returns (parked, collisions, past_end). Tuples are aggregated by the
-    occupancy state they reach; counts are exact integers. The preferences
-    in (previous free spot, j] cruise to free spot j, and the car parks if
-    its block fits there. So a state costs one mask of the starts that fit
-    (`_fit`; on the circle it is read on the middle of three laps, so the
-    first free spot takes the wrapped trailing run) plus one step per
-    fitting start. On the line the preferences above the highest free spot
-    whose block ends in the lot run past the end; all other reach that
-    meets no fitting start collides. The first car meets an empty lot,
-    where each preference in [first_lo, first_hi] is its own free spot
-    (none if first_lo > first_hi). The last car builds no block table
-    (`_blocks`): its parked reach stays keyed by the state it came from.
+    occupancy state they reach, keyed by its free-spot mask; counts are
+    exact integers. The preferences in (previous free spot, j] cruise to
+    free spot j, and the car parks if its block fits there. So a state
+    costs one mask of the starts that fit (`_fit`; on the circle it is
+    read on the middle of three laps, so the first free spot takes the
+    wrapped trailing run) plus one step per fitting start. On the line the
+    preferences above the highest free spot whose block ends in the lot
+    run past the end; all other reach that meets no fitting start
+    collides. The first car meets an empty lot, where each preference in
+    [first_lo, first_hi] is its own free spot (none if first_lo >
+    first_hi). A unit car among cars 2..n-1 fits at every free spot, so it
+    walks the free spots with no fit mask and no block table; on the
+    circle the first free spot's reach starts past the highest one. The
+    last car builds no block table and no states: its parked reach is
+    summed. On the line y_n spots are left free, and it parks only when
+    they are one block, from the preferences up to the block's first spot;
+    on the circle y_n + 1 are left, and at most two starts fit. On the
+    circle a unit car parks while a spot is free, and one is free for
+    each trailing unit car, so those cars are not walked: the tally of the
+    cars before them is scaled by M per trailing unit car.
     """
-    n = sizes.n
     base, wrap = _lot(sizes, flavor)
     full = (1 << base) - 1
     first, *rest = sizes.sizes
+    units = 0  # the trailing unit cars on the circle, each a factor M
+    while wrap and rest and rest[-1] == 1:
+        rest.pop()
+        units += 1
+    scale = base**units
+    n = len(rest) + 1  # the cars walked
     starts = range(first_lo, min(first_hi, base if wrap else base - first + 1) + 1)
     past_end = (max(0, first_hi - first_lo + 1) - len(starts)) * base ** (n - 1)
-    if n == 1:
-        return len(starts), 0, past_end
+    if not rest:
+        return len(starts) * scale, 0, past_end * scale
+    *middle, last = rest
     blocks = _blocks(first, base, wrap)
-    states = {blocks[j]: 1 for j in starts}
+    states = {full ^ blocks[j]: 1 for j in starts}  # tuples by free-spot mask
     collisions = 0
     lap = base if wrap else 0  # the offset of the lap the starts are read on
-    for car, size in enumerate(rest, 2):
-        # the last car's parked reach stays keyed by the state it came from
-        blocks = [0] * lap + (_blocks(size, base, wrap) if car < n else [0] * (base + 1))
-        laps, shifts, room = _fit(size, base, wrap)
+    for car, size in enumerate(middle, 2):
         tried = 0  # reach that does not run past the end
         nxt: dict[int, int] = {}
-        for mask, count in states.items():
-            free = full & ~mask
-            fits = ring = free * laps
-            for shift in shifts:  # the starts whose whole block is free
-                fits &= fits >> shift
-            if wrap:  # keep the middle lap
-                fits &= room
-            else:  # above the last free start whose block ends in the lot, past the end
-                tried += count * (free & room).bit_length()
-            while fits:
-                low = fits & -fits
-                fits ^= low
-                j = low.bit_length()
-                reach = count * (j - (ring & (low - 1)).bit_length())
-                block = mask | blocks[j]
-                nxt[block] = nxt.get(block, 0) + reach
+        if size == 1:  # every free spot fits, so all tried reach parks
+            for free, count in states.items():
+                if wrap:  # the first free spot takes the run past the highest
+                    prev = free.bit_length() - base
+                else:  # past the highest free spot, past the end
+                    prev = 0
+                    tried += count * free.bit_length()
+                spots = free
+                while spots:
+                    low = spots & -spots
+                    spots ^= low
+                    j = low.bit_length()
+                    child = free ^ low
+                    nxt[child] = nxt.get(child, 0) + count * (j - prev)
+                    prev = j
+        else:
+            blocks = [0] * lap + _blocks(size, base, wrap)
+            laps, shifts, room = _fit(size, base, wrap)
+            for free, count in states.items():
+                fits = ring = free * laps
+                for shift in shifts:  # the starts whose whole block is free
+                    fits &= fits >> shift
+                if wrap:  # keep the middle lap
+                    fits &= room
+                else:  # above the last free start whose block ends in the lot, past the end
+                    tried += count * (free & room).bit_length()
+                while fits:
+                    low = fits & -fits
+                    fits ^= low
+                    j = low.bit_length()
+                    reach = count * (j - (ring & (low - 1)).bit_length())
+                    child = free ^ blocks[j]
+                    nxt[child] = nxt.get(child, 0) + reach
         total = base * sum(states.values())
         if wrap:
             tried = total
         collisions += (tried - sum(nxt.values())) * base ** (n - car)
         past_end += (total - tried) * base ** (n - car)
         states = nxt
-    return sum(states.values()), collisions, past_end
+    laps, shifts, room = _fit(last, base, wrap)
+    parked = tried = 0
+    total = base * sum(states.values())
+    if wrap:  # y_n + 1 free spots: at most two starts fit
+        for free, count in states.items():
+            fits = ring = free * laps
+            for shift in shifts:
+                fits &= fits >> shift
+            fits &= room
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                parked += count * (low.bit_length() - (ring & (low - 1)).bit_length())
+        tried = total
+    else:  # y_n free spots: the car parks only if they are one block
+        for free, count in states.items():
+            low = free & -free
+            if not free & (free + low):  # preferences 1..j cruise to its first spot j
+                parked += count * low.bit_length()
+            tried += count * (free & room).bit_length()
+    collisions += tried - parked
+    past_end += total - tried
+    return parked * scale, collisions * scale, past_end * scale
 
 
 def verify(

@@ -32,6 +32,31 @@ ROWS = [
     # _fit: the last, short doubling shift one spot too long
     ("bruteforce", "min(1 << k, size - (1 << k))", "min(1 << k, size + 1 - (1 << k))",
      ["tests/test_bruteforce.py::test_fit_mask_is_the_literal_rule"]),
+    # _tally's unit-car loop: the reach of each free spot counted from the
+    # first, and on the circle the wrapped run one preference short
+    ("bruteforce", "                    prev = j\n", "",
+     ["tests/test_bruteforce.py::test_tally_matches_prefix_reference",
+      "tests/test_bruteforce.py::test_tally_at_the_oracle_edge"]),
+    ("bruteforce", "prev = free.bit_length() - base", "prev = free.bit_length() - base + 1",
+     ["tests/test_bruteforce.py::test_tally_matches_prefix_reference",
+      "tests/test_bruteforce.py::test_tally_at_the_oracle_edge"]),
+    # _tally's last car on the line: a one-block test that never passes,
+    # and the reach above the highest start whose block ends in the lot
+    # counted as collisions, not past the end
+    ("bruteforce", "if not free & (free + low):", "if not free & low:",
+     ["tests/test_bruteforce.py::test_tally_matches_prefix_reference",
+      "tests/test_bruteforce.py::test_tally_at_the_oracle_edge"]),
+    ("bruteforce",
+     "                parked += count * low.bit_length()\n"
+     "            tried += count * (free & room).bit_length()",
+     "                parked += count * low.bit_length()\n"
+     "            tried += count * free.bit_length()",
+     ["tests/test_bruteforce.py::test_tally_matches_prefix_reference",
+      "tests/test_bruteforce.py::test_tally_at_the_oracle_edge"]),
+    # _tally on the circle: trailing cars of size 2 scaled as if they always parked
+    ("bruteforce", "rest[-1] == 1", "rest[-1] <= 2",
+     ["tests/test_bruteforce.py::test_tally_matches_prefix_reference",
+      "tests/test_bruteforce.py::test_tally_at_the_oracle_edge"]),
     # the walk's prune of a last car that parks from no start, weakened:
     # the runs are the same, so only the counted work sees it
     ("bruteforce", "if size > 1 and not parks(child):", "if size > 2 and not parks(child):",
